@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet statleaklint lint-sarif build test race scenario chaos cluster speculate isle bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet statleaklint lint-sarif build test race scenario chaos cluster isle bench bench-json experiments-output fuzz daemon
 
-ci: lint build test race scenario chaos cluster speculate isle fuzz
+ci: lint build test race scenario chaos cluster isle fuzz
 
 # lint = go vet plus the repository's own analyzer suite. statleaklint
 # enforces the engine's determinism/transactionality/concurrency
@@ -61,14 +61,6 @@ chaos:
 # completion (see DESIGN.md §11).
 cluster:
 	$(GO) test -race -run 'TestCluster|TestRing|TestRegistry|TestSteal|TestStatus|TestRequest|TestCanonical|TestOutcome' ./internal/cluster
-
-# speculate runs the speculative-pipeline equivalence suite under the
-# race detector: the golden scoreboard with speculation forced on and
-# forced off (bit-for-bit against the same pinned file), the
-# fork/replay bitwise property, and the pipelined driver's edge cases
-# (mispredict, peel-to-empty, cancellation joins). See DESIGN.md §12.
-speculate:
-	$(GO) test -race -run 'TestSpeculative|TestSerialConfig|TestPipelined|TestFork|TestObserve' ./internal/opt ./internal/search ./internal/engine
 
 # isle runs the importance-sampling suite under the race detector:
 # per-sample weight determinism across worker counts, the zero-shift

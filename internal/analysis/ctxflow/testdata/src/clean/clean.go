@@ -22,9 +22,9 @@ func work(ctx context.Context) error {
 	}
 }
 
-// Speculative-prefetch shape (search.runPipelined): the scan goroutine
-// receives the driver's own ctx, so cancelling the search reaches the
-// in-flight speculative scan and the join cannot deadlock on it.
+// Speculative-prefetch shape: the scan goroutine receives the
+// caller's own ctx, so cancelling the caller reaches the in-flight
+// scan and the join cannot deadlock on it.
 func prefetch(ctx context.Context, scan func(context.Context) (int, error)) chan error {
 	done := make(chan error, 1)
 	go func() {

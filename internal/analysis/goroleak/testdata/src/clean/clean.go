@@ -57,9 +57,9 @@ func oneShot(log func(string)) {
 	go log("started")
 }
 
-// Speculative-scan shape (search.runPipelined): the goroutine owns
-// its fork until the defer-closed done channel releases it, the body
-// is a finite replay loop with early-return on error, and the driver
+// Speculative-scan shape (launch-then-join): the goroutine owns its
+// state until the defer-closed done channel releases it, the body is
+// a finite replay loop with early-return on error, and the caller
 // always joins on done — the goroutine stops by finishing.
 type specTask struct {
 	done    chan struct{}

@@ -126,11 +126,6 @@ type Engine struct {
 	workers []*scoreWorker
 	log     []logOp
 	gen     int
-
-	// Round observation for the speculative driver (see spec.go).
-	observing      bool
-	observed       []SpecOp
-	observedHazard bool
 }
 
 // New wraps a design. The engine does not copy d: moves applied
@@ -188,7 +183,6 @@ func (e *Engine) Apply(m Move) error {
 	}
 	metApplied.Inc()
 	e.logMove(m, false)
-	e.observe(m, false)
 	return e.noteChange(m.Gate())
 }
 
@@ -199,7 +193,6 @@ func (e *Engine) Revert(m Move) error {
 	}
 	metReverted.Inc()
 	e.logMove(m, true)
-	e.observe(m, true)
 	return e.noteChange(m.Gate())
 }
 
@@ -216,11 +209,7 @@ func (e *Engine) noteChange(id int) error {
 	if e.inc != nil || e.acc != nil {
 		e.sinceRefresh++
 		if e.cfg.RefreshEvery > 0 && e.sinceRefresh >= e.cfg.RefreshEvery {
-			// The auto-refresh is a deterministic function of the move
-			// sequence (a fork inherits sinceRefresh and mirrors it), so
-			// it does not hazard an observed round the way an external
-			// Refresh call does.
-			return e.refresh()
+			return e.Refresh()
 		}
 	}
 	return nil
@@ -233,15 +222,6 @@ func (e *Engine) noteChange(id int) error {
 // the one hook a caller who mutated the design directly must use
 // before the next ScoreAll.
 func (e *Engine) Refresh() error {
-	if e.observing {
-		// An external rebuild invalidates any in-flight speculation: the
-		// fork has no way to know it happened.
-		e.observedHazard = true
-	}
-	return e.refresh()
-}
-
-func (e *Engine) refresh() error {
 	t0 := time.Now()
 	defer func() { metRefreshes.Observe(time.Since(t0).Seconds()) }()
 	e.corner = nil

@@ -92,9 +92,8 @@ func (c *scoreCtx) score(m Move) (Score, error) {
 // O(k²) leakage update — without changing the engine's observable
 // state. The caches are journaled for the call's duration and
 // restored bitwise: scoring is net-zero not just within tolerance but
-// bit for bit, which is what lets the speculative round pipeline
-// treat a scored-but-unapplied engine as identical to an untouched
-// one (see Fork).
+// bit for bit, so a scored-but-unapplied engine is identical to an
+// untouched one.
 func (e *Engine) Score(m Move) (Score, error) {
 	if err := e.ensureAcc(); err != nil {
 		return Score{}, err
@@ -183,9 +182,7 @@ func (e *Engine) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		// Journaling the round and restoring at the end returns them
 		// bitwise to the pre-round state — the same contract the
 		// parallel workers honor — so a scoring sweep leaves no
-		// floating-point residue on the engine. The speculative round
-		// pipeline relies on this: an engine that scored a round is
-		// indistinguishable from one that never did.
+		// floating-point residue on the engine.
 		var inc *ssta.Incremental
 		if exact {
 			inc = e.inc

@@ -105,17 +105,10 @@ func AnnealCtx(ctx context.Context, d *core.Design, o Options, cfg AnnealConfig)
 	// Metropolis criterion as the verification predicate. The RNG draw
 	// order (gate, move type, direction, acceptance coin — the coin only
 	// when the candidate is uphill) fixes the trajectory per seed.
-	//
-	// The policy deliberately declines the speculative pipeline (no
-	// Prefetch): the next proposal consumes RNG draws, and a prefetch
-	// would have to either replay them (racing the serial draw order)
-	// or fork the RNG (diverging from the pinned per-seed trajectory).
-	// The scan is a constant-work draw anyway — there is nothing
-	// expensive to overlap.
 	m := -1
 	var temp float64
 	var cand, candYield, candQ float64
-	tally, err := search.RunWith(ctx, e, search.Policy{
+	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "anneal",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
 			m++
@@ -182,7 +175,7 @@ func AnnealCtx(ctx context.Context, d *core.Design, o Options, cfg AnnealConfig)
 			}
 			return nil
 		},
-	}, o.Search)
+	})
 	addTally(&res.Result, tally)
 	if err != nil {
 		return nil, err

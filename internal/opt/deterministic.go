@@ -62,36 +62,9 @@ func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int
 		return nil, err
 	}
 	iter := -1
-	// scan picks the best upsize on rv's critical path, honoring bl:
-	// the corner result and design are passed in so the speculative
-	// pipeline can run it against a forked engine's state.
-	scan := func(d *core.Design, rv *sta.Result, bl map[int]bool) int {
-		path := rv.CriticalPath(d)
-		bestID := -1
-		bestEst := -slackEps // require a strictly improving estimate
-		for _, id := range path {
-			g := d.Circuit.Gate(id)
-			if g.Type == logic.Input || bl[id] {
-				continue
-			}
-			si := d.SizeIndex(id)
-			if si+1 >= len(d.Lib.Sizes) {
-				continue
-			}
-			est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], dLc, dVc)
-			if est < bestEst {
-				bestEst = est
-				bestID = id
-			}
-		}
-		return bestID
-	}
-	var pre *int // validated speculative scan result, consumed once
-	tally, err := search.RunWith(ctx, e, search.Policy{
+	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: optimizer,
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			hint := pre
-			pre = nil
 			iter++
 			if target > 0 && r.MaxDelay <= target {
 				res.Feasible = true
@@ -100,12 +73,25 @@ func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int
 			if t.Moves >= maxMoves {
 				return nil, nil
 			}
+			// Candidates: non-blacklisted critical-path gates below max size.
 			d := e.Design()
-			var bestID int
-			if hint != nil {
-				bestID = *hint
-			} else {
-				bestID = scan(d, r, blacklist)
+			path := r.CriticalPath(d)
+			bestID := -1
+			bestEst := -slackEps // require a strictly improving estimate
+			for _, id := range path {
+				g := c.Gate(id)
+				if g.Type == logic.Input || blacklist[id] {
+					continue
+				}
+				si := d.SizeIndex(id)
+				if si+1 >= len(d.Lib.Sizes) {
+					continue
+				}
+				est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], dLc, dVc)
+				if est < bestEst {
+					bestEst = est
+					bestID = id
+				}
 			}
 			if bestID < 0 {
 				res.Feasible = target > 0 && r.MaxDelay <= target
@@ -140,30 +126,7 @@ func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int
 			}
 			return nil
 		},
-		Prefetch: func(*search.Tally) func(context.Context, *engine.Engine) (any, error) {
-			// Snapshot the blacklist as it will stand once this round
-			// commits as predicted (move accepted): the Accepted hook
-			// clears a non-empty blacklist on 16-aligned iterations, and
-			// Rejected cannot fire under the prediction.
-			snap := make(map[int]bool, len(blacklist))
-			if !(len(blacklist) > 0 && iter%16 == 0) {
-				for k, v := range blacklist {
-					snap[k] = v
-				}
-			}
-			return func(_ context.Context, view *engine.Engine) (any, error) {
-				rv, err := view.Corner(math.Max(target, 1))
-				if err != nil {
-					return nil, err
-				}
-				return scan(view.Design(), rv, snap), nil
-			}
-		},
-		Consume: func(payload any) {
-			id := payload.(int)
-			pre = &id
-		},
-	}, o.Search)
+	})
 	addTally(res, tally)
 	if err != nil {
 		return nil, err
@@ -323,37 +286,18 @@ func detPhaseB(ctx context.Context, e evaluator, o Options, res *Result) error {
 	}
 	base := res.Moves // accumulated across the margin sweep
 	blocked := make(map[moveKey]bool)
-	// scan finds the best recovery move of ev's current state: the
-	// shared core of the serial Propose and the speculative prefetch.
-	scan := func(ev evaluator, bl map[moveKey]bool) (engine.Move, error) {
-		r, err := ev.Corner(o.TmaxPs)
-		if err != nil {
-			return nil, err
-		}
-		mv, ok := bestCornerRecoveryMove(ev, o, r.Slack, bl)
-		if !ok {
-			return nil, nil
-		}
-		return mv, nil
-	}
-	var pre engine.Move // validated speculative scan result...
-	havePre := false    // ...consumed once (nil is a valid payload)
-	tally, err := search.RunWith(ctx, e, search.Policy{
+	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "deterministic",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			hint, haveHint := pre, havePre
-			pre, havePre = nil, false
 			if base+t.Moves >= maxMoves {
 				return nil, nil
 			}
-			mv := hint
-			if !haveHint {
-				var err error
-				if mv, err = scan(e, blocked); err != nil {
-					return nil, err
-				}
+			r, err := e.Corner(o.TmaxPs)
+			if err != nil {
+				return nil, err
 			}
-			if mv == nil {
+			mv, ok := bestCornerRecoveryMove(e, o, r.Slack, blocked)
+			if !ok {
 				return nil, nil
 			}
 			return &search.Round{Moves: []engine.Move{mv}}, nil
@@ -373,26 +317,7 @@ func detPhaseB(ctx context.Context, e evaluator, o Options, res *Result) error {
 			o.report(Progress{Optimizer: "deterministic", Phase: "recovery", Moves: base + t.Moves, Round: t.Rounds, LeakQNW: e.Design().TotalLeak()})
 			return nil
 		},
-		Prefetch: func(*search.Tally) func(context.Context, *engine.Engine) (any, error) {
-			// Predicted outcome: the move is accepted, so Rejected never
-			// fires and the blocked set is unchanged.
-			snap := make(map[moveKey]bool, len(blocked))
-			for k, v := range blocked {
-				snap[k] = v
-			}
-			return func(_ context.Context, view *engine.Engine) (any, error) {
-				mv, err := scan(view, snap)
-				if err != nil {
-					return nil, err
-				}
-				return mv, nil
-			}
-		},
-		Consume: func(payload any) {
-			pre, _ = payload.(engine.Move)
-			havePre = true
-		},
-	}, o.Search)
+	})
 	addTally(res, tally)
 	return err
 }

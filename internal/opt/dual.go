@@ -90,80 +90,59 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 	}
 	blacklist := make(map[moveKey]bool)
 	var q0, lq float64 // pre-move delay quantile / post-move leakage quantile
-	// scan finds the best speedup candidate on the statistically
-	// critical path of ev's current state, scored by local delay gain
-	// per leakage spent. Shared by the serial Propose and the
-	// speculative prefetch.
-	scan := func(ev evaluator, bl map[moveKey]bool) (engine.Move, error) {
-		sr, err := ev.Timing()
-		if err != nil {
-			return nil, err
-		}
-		d := ev.Design()
-		path := statCriticalPath(d, sr, kappa)
-		var best engine.Move
-		bestScore := 0.0
-		for _, id := range path {
-			g := d.Circuit.Gate(id)
-			if g.Type == logic.Input {
-				continue
-			}
-			dNow := d.GateDelay(id)
-			lNow := d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])
-			consider := func(mv engine.Move, dNew, lNew float64) {
-				if bl[keyOf(mv)] {
-					return
-				}
-				gain := dNow - dNew
-				cost := lNew - lNow
-				if gain <= 0 || cost <= 0 {
-					return
-				}
-				if score := gain / cost; score > bestScore {
-					bestScore = score
-					best = mv
-				}
-			}
-			if o.EnableVth && d.Vth[id] == tech.HighVth {
-				if mv, err := engine.NewVthSwap(d, id, tech.LowVth); err == nil {
-					consider(mv,
-						d.Lib.Delay(g.Type, tech.LowVth, d.Size[id], d.Load(id)),
-						d.Lib.Leak(g.Type, tech.LowVth, d.Size[id]))
-				}
-			}
-			if o.EnableSizing {
-				if mv, ok := engine.NewUpsize(d, id); ok {
-					s := d.Lib.Sizes[mv.ToIdx]
-					consider(mv,
-						d.Lib.Delay(g.Type, d.Vth[id], s, d.Load(id)),
-						d.Lib.Leak(g.Type, d.Vth[id], s))
-				}
-			}
-		}
-		return best, nil
-	}
-	var pre engine.Move // validated speculative scan result...
-	havePre := false    // ...consumed once (nil is a valid payload)
-	tally, err := search.RunWith(ctx, e, search.Policy{
+	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "dual",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			hint, haveHint := pre, havePre
-			pre, havePre = nil, false
 			if t.Moves >= maxMoves {
 				return nil, nil
 			}
-			// The pre-move quantile feeds Verify, so it is computed on
-			// the live engine every round, hint or not (the timing view
-			// is memoized; this costs nothing extra).
 			sr, err := e.Timing()
 			if err != nil {
 				return nil, err
 			}
+			d := e.Design()
+			path := statCriticalPath(d, sr, kappa)
 			q0 = sr.Quantile(o.YieldTarget)
-			best := hint
-			if !haveHint {
-				if best, err = scan(e, blacklist); err != nil {
-					return nil, err
+
+			// Best speedup candidate on the statistically critical path,
+			// scored by local delay gain per leakage spent.
+			var best engine.Move
+			bestScore := 0.0
+			for _, id := range path {
+				g := d.Circuit.Gate(id)
+				if g.Type == logic.Input {
+					continue
+				}
+				dNow := d.GateDelay(id)
+				lNow := d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])
+				consider := func(mv engine.Move, dNew, lNew float64) {
+					if blacklist[keyOf(mv)] {
+						return
+					}
+					gain := dNow - dNew
+					cost := lNew - lNow
+					if gain <= 0 || cost <= 0 {
+						return
+					}
+					if score := gain / cost; score > bestScore {
+						bestScore = score
+						best = mv
+					}
+				}
+				if o.EnableVth && d.Vth[id] == tech.HighVth {
+					if mv, err := engine.NewVthSwap(d, id, tech.LowVth); err == nil {
+						consider(mv,
+							d.Lib.Delay(g.Type, tech.LowVth, d.Size[id], d.Load(id)),
+							d.Lib.Leak(g.Type, tech.LowVth, d.Size[id]))
+					}
+				}
+				if o.EnableSizing {
+					if mv, ok := engine.NewUpsize(d, id); ok {
+						s := d.Lib.Sizes[mv.ToIdx]
+						consider(mv,
+							d.Lib.Delay(g.Type, d.Vth[id], s, d.Load(id)),
+							d.Lib.Leak(g.Type, d.Vth[id], s))
+					}
 				}
 			}
 			if best == nil {
@@ -189,26 +168,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 			o.report(Progress{Optimizer: "dual", Phase: "speedup", Moves: t.Moves, Round: t.Rounds, LeakQNW: lq})
 			return nil
 		},
-		Prefetch: func(*search.Tally) func(context.Context, *engine.Engine) (any, error) {
-			// Predicted outcome: the move is accepted, so Rejected never
-			// fires and the blacklist is unchanged.
-			snap := make(map[moveKey]bool, len(blacklist))
-			for k, v := range blacklist {
-				snap[k] = v
-			}
-			return func(_ context.Context, view *engine.Engine) (any, error) {
-				mv, err := scan(view, snap)
-				if err != nil {
-					return nil, err
-				}
-				return mv, nil
-			}
-		},
-		Consume: func(payload any) {
-			pre, _ = payload.(engine.Move)
-			havePre = true
-		},
-	}, o.Search)
+	})
 	res.Moves += tally.Moves
 	res.SwapsToLVT += tally.VthSwaps
 	res.SizeUps += tally.SizeUps

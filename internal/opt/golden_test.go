@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -186,6 +187,21 @@ func TestNominalMatrixGoldenEquivalence(t *testing.T) {
 	}
 	got := computeGolden(t, func(o *opt.Options) { o.Scenario = scenario.Nominal() })
 	compareGolden(t, got, "1×1 scenario family diverged from the single-engine golden")
+}
+
+// TestSerialConfigGoldenEquivalence recomputes the scoreboard on a
+// single-proc scheduler. The search driver is serial; only ScoreAll's
+// within-round worker fan-out runs concurrently, and it writes each
+// score to its move's slot. So the trajectories must not depend on
+// how those workers are scheduled: one proc must reproduce the golden
+// bit for bit.
+func TestSerialConfigGoldenEquivalence(t *testing.T) {
+	if *update {
+		t.Skip("golden file is regenerated by TestCrossFlowGoldenScoreboard")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got := computeGolden(t, nil)
+	compareGolden(t, got, "single-proc run diverged from the pinned trajectory")
 }
 
 // compareGolden checks a freshly computed scoreboard against the pinned

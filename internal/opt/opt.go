@@ -75,13 +75,6 @@ type Options struct {
 	// must be cheap and must not call back into the optimizer or the
 	// engine; the job server uses it to publish live status.
 	Progress func(Progress)
-	// Search configures the round-based search driver shared by every
-	// flow — most notably the speculative cross-round pipeline
-	// (Serial to force the plain loop, Speculate to force the
-	// pipeline even on a single-proc scheduler). The zero value is the
-	// right default: speculate when overlap can pay. Either way the
-	// optimization trajectory is bit-for-bit identical.
-	Search search.Config
 	// ISVerify, when non-nil, re-verifies the statistical optimizer's
 	// final design with importance-sampled Monte Carlo (adaptive
 	// budget: sample batches double until the failure probability's

@@ -130,40 +130,9 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 	blacklist := make(map[int]bool)
 	var q0 float64 // delay quantile before the round's move
 	iter := -1
-	// scan picks the best upsize on the statistical critical path of
-	// ev's current state, honoring bl. Pure in its arguments, so it
-	// runs the same on the live engine or a speculative fork.
-	scan := func(ev evaluator, bl map[int]bool) (int, error) {
-		sr, err := ev.Timing()
-		if err != nil {
-			return -1, err
-		}
-		d := ev.Design()
-		path := statCriticalPath(d, sr, kappa)
-		bestID := -1
-		bestEst := -slackEps
-		for _, id := range path {
-			g := d.Circuit.Gate(id)
-			if g.Type == logic.Input || bl[id] {
-				continue
-			}
-			si := d.SizeIndex(id)
-			if si+1 >= len(d.Lib.Sizes) {
-				continue
-			}
-			if est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], 0, 0); est < bestEst {
-				bestEst = est
-				bestID = id
-			}
-		}
-		return bestID, nil
-	}
-	var pre *int // validated speculative scan result, consumed once
-	tally, err := search.RunWith(ctx, e, search.Policy{
+	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "statistical",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			hint := pre
-			pre = nil
 			iter++
 			var err error
 			if q0, err = e.DelayQuantile(o.YieldTarget); err != nil {
@@ -172,16 +141,31 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 			if q0 <= target || base+t.Moves >= maxMoves {
 				return nil, nil
 			}
-			var bestID int
-			if hint != nil {
-				bestID = *hint
-			} else if bestID, err = scan(e, blacklist); err != nil {
+			sr, err := e.Timing()
+			if err != nil {
 				return nil, err
+			}
+			d := e.Design()
+			path := statCriticalPath(d, sr, kappa)
+			bestID := -1
+			bestEst := -slackEps
+			for _, id := range path {
+				g := d.Circuit.Gate(id)
+				if g.Type == logic.Input || blacklist[id] {
+					continue
+				}
+				si := d.SizeIndex(id)
+				if si+1 >= len(d.Lib.Sizes) {
+					continue
+				}
+				if est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], 0, 0); est < bestEst {
+					bestEst = est
+					bestID = id
+				}
 			}
 			if bestID < 0 {
 				return nil, nil
 			}
-			d := e.Design()
 			mv, ok := engine.NewUpsize(d, bestID)
 			if !ok {
 				// Spend the round; something else must change first.
@@ -206,30 +190,7 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 			}
 			return nil
 		},
-		Prefetch: func(*search.Tally) func(context.Context, *engine.Engine) (any, error) {
-			// Snapshot the blacklist as it will stand once this round
-			// commits as predicted (first candidate accepted): the
-			// Accepted hook clears a non-empty blacklist on 16-aligned
-			// iterations, and Rejected cannot fire under the prediction.
-			snap := make(map[int]bool, len(blacklist))
-			if !(len(blacklist) > 0 && iter%16 == 0) {
-				for k, v := range blacklist {
-					snap[k] = v
-				}
-			}
-			return func(_ context.Context, view *engine.Engine) (any, error) {
-				id, err := scan(view, snap)
-				if err != nil {
-					return nil, err
-				}
-				return id, nil
-			}
-		},
-		Consume: func(payload any) {
-			id := payload.(int)
-			pre = &id
-		},
-	}, o.Search)
+	})
 	addTally(&res.Result, tally)
 	return err
 }
@@ -255,45 +216,24 @@ func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) er
 	}
 	const safety = 0.8 // fraction of a gate's statistical slack a batch may consume
 
-	// scan is the expensive half of a phase-B round — per-gate
-	// statistical slacks plus the scored, sorted candidate list they
-	// imply — factored out so the speculative pipeline can run it
-	// against a forked engine while the previous batch commits. The
-	// cheap greedy budget selection stays in Propose (it needs the live
-	// move tally).
-	scan := func(ctx context.Context, ev evaluator, bl map[moveKey]bool, safety float64) (*phaseBScan, error) {
-		slack, err := ev.StatisticalSlack()
-		if err != nil {
-			return nil, err
-		}
-		cands, err := statCandidates(ctx, ev, o, slack, safety, bl)
-		if err != nil {
-			return nil, err
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
-		return &phaseBScan{slack: slack, cands: cands}, nil
-	}
-
-	base := res.Moves   // accumulated across the margin sweep
-	var pre *phaseBScan // validated speculative scan, consumed once
-	tally, err := search.RunWith(ctx, e, search.Policy{
+	base := res.Moves // accumulated across the margin sweep
+	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "statistical",
 		Propose: func(ctx context.Context, t *search.Tally) (*search.Round, error) {
-			sc := pre
-			pre = nil
 			if base+t.Moves >= maxMoves {
 				return nil, nil
 			}
-			if sc == nil {
-				var err error
-				if sc, err = scan(ctx, e, blocked, safety); err != nil {
-					return nil, err
-				}
+			slack, err := e.StatisticalSlack()
+			if err != nil {
+				return nil, err
 			}
-			if len(sc.cands) == 0 {
+			cands, err := statCandidates(ctx, e, o, slack, safety, blocked)
+			if err != nil {
+				return nil, err
+			}
+			if len(cands) == 0 {
 				return nil, nil
 			}
-			slack, cands := sc.slack, sc.cands
 
 			// Select greedily against a consumable per-gate slack budget.
 			budget := make(map[int]float64, batchCap)
@@ -341,20 +281,7 @@ func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) er
 			}
 			return false, nil
 		},
-		Prefetch: func(*search.Tally) func(context.Context, *engine.Engine) (any, error) {
-			// Predicted outcome: the whole batch commits with no
-			// peeling, so Rejected never fires and the post-round
-			// blocked set is exactly today's.
-			snap := make(map[moveKey]bool, len(blocked))
-			for k, v := range blocked {
-				snap[k] = v
-			}
-			return func(ctx context.Context, view *engine.Engine) (any, error) {
-				return scan(ctx, view, snap, safety)
-			}
-		},
-		Consume: func(payload any) { pre = payload.(*phaseBScan) },
-	}, o.Search)
+	})
 	addTally(&res.Result, tally)
 	if err != nil {
 		return err
@@ -367,26 +294,25 @@ func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) er
 	// re-timed), and keeps the first survivor.
 	base = res.Moves
 	var yield float64 // last verified yield, for the progress report
-	pre = nil
-	tally, err = search.RunWith(ctx, e, search.Policy{
+	tally, err = search.Run(ctx, e, search.Policy{
 		Optimizer: "statistical",
 		Propose: func(ctx context.Context, t *search.Tally) (*search.Round, error) {
-			sc := pre
-			pre = nil
 			if base+t.Moves >= maxMoves {
 				return nil, nil
 			}
-			if sc == nil {
-				var err error
-				if sc, err = scan(ctx, e, blocked, 1.0); err != nil {
-					return nil, err
-				}
+			slack, err := e.StatisticalSlack()
+			if err != nil {
+				return nil, err
 			}
-			if len(sc.cands) == 0 {
+			cands, err := statCandidates(ctx, e, o, slack, 1.0, blocked)
+			if err != nil {
+				return nil, err
+			}
+			if len(cands) == 0 {
 				return nil, nil
 			}
-			moves := make([]engine.Move, len(sc.cands))
-			for i, cand := range sc.cands {
+			moves := make([]engine.Move, len(cands))
+			for i, cand := range cands {
 				moves[i] = cand.mv
 			}
 			return &search.Round{Moves: moves}, nil
@@ -413,30 +339,9 @@ func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) er
 		RoundDone: func(accepted int, t *search.Tally) (bool, error) {
 			return accepted == 0, nil
 		},
-		Prefetch: func(*search.Tally) func(context.Context, *engine.Engine) (any, error) {
-			// Predicted outcome: the first candidate is accepted, so
-			// Rejected never fires and the blocked set is unchanged.
-			snap := make(map[moveKey]bool, len(blocked))
-			for k, v := range blocked {
-				snap[k] = v
-			}
-			return func(ctx context.Context, view *engine.Engine) (any, error) {
-				return scan(ctx, view, snap, 1.0)
-			}
-		},
-		Consume: func(payload any) { pre = payload.(*phaseBScan) },
-	}, o.Search)
+	})
 	addTally(&res.Result, tally)
 	return err
-}
-
-// phaseBScan is one phase-B candidate scan: the per-gate statistical
-// slacks and the scored, sorted candidates derived from them. It is
-// the payload the speculative pipeline carries from a forked scan to
-// the next Propose.
-type phaseBScan struct {
-	slack []float64
-	cands []statCand
 }
 
 // statCand is one scored phase-B candidate.
@@ -448,10 +353,11 @@ type statCand struct {
 
 // statCandidates scores every feasible phase-B move by its reduction
 // of the objective leakage percentile per unit of mean-delay slack
-// consumed. The per-move delay effect is the local cell-delay change
-// (a phase-B move never changes the gate's own load), so candidates
-// prefilter analytically and the leakage-percentile deltas evaluate in
-// parallel through the engine's worker pool. Mean delay is the right
+// consumed, and returns them best first. The per-move delay effect is
+// the local cell-delay change (a phase-B move never changes the gate's
+// own load), so candidates prefilter analytically and the
+// leakage-percentile deltas evaluate in parallel through the engine's
+// worker pool. Mean delay is the right
 // currency against StatisticalSlack's sigma-adjusted budget; the
 // move's (small) effect on the circuit sigma is caught by the
 // incremental-SSTA batch verification.
@@ -510,6 +416,7 @@ func statCandidates(ctx context.Context, e evaluator, o Options, slack []float64
 		c.score = dq / math.Max(c.dMetric, 1e-6)
 		out = append(out, c)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].score > out[j].score })
 	return out, nil
 }
 

@@ -28,8 +28,8 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -124,25 +124,6 @@ type Policy struct {
 	// kept; returning stop ends the search. Policies whose generator
 	// over-proposes use it to stop on a fully-bounced round.
 	RoundDone func(accepted int, t *Tally) (stop bool, err error)
-
-	// Prefetch, when non-nil (together with Consume), is the policy's
-	// "propose against a hypothetical incumbent" seam: after a round is
-	// proposed but before it commits, the driver calls Prefetch on the
-	// driver goroutine. The policy snapshots whatever mutable state its
-	// next candidate scan needs — as it will stand if the round commits
-	// exactly as predicted — and returns the scan as a closure, or nil
-	// to decline speculation for this round. The closure then runs on
-	// the speculation goroutine against view, a forked engine advanced
-	// along the predicted round outcome, concurrently with the real
-	// commit; it must touch only view and its snapshot, never live
-	// policy state. See Config.Serial for the equivalence contract.
-	Prefetch func(t *Tally) func(ctx context.Context, view *engine.Engine) (any, error)
-
-	// Consume delivers a validated speculation payload immediately
-	// before the next Propose. It is called only when the committed
-	// round matched the prediction move for move, so the payload is
-	// bitwise the value Propose would have computed itself.
-	Consume func(payload any)
 }
 
 // Driver is the mutation surface the search loop drives: the single
@@ -158,54 +139,12 @@ type Driver interface {
 // Run drives the search loop until Propose returns nil, RoundDone
 // stops it, ctx is cancelled, or a step fails. The returned Tally is
 // valid (reflecting all kept moves) even when err is non-nil, so
-// callers can account for partial progress.
-//
-// When the driver supports speculation (engine.Engine does) and the
-// policy provides the Prefetch/Consume seam, rounds run through the
-// speculative pipeline; pass Config.Serial to RunWith to force the
-// plain loop. Trajectories are bit-for-bit identical either way.
+// callers can account for partial progress: a step that fails before
+// its round's keep decision first puts the round's moves back.
 func Run(ctx context.Context, e Driver, p Policy) (*Tally, error) {
-	return RunWith(ctx, e, p, Config{})
-}
-
-// Config tunes the search driver.
-type Config struct {
-	// Serial disables the speculative cross-round pipeline even when
-	// the driver and policy support it. The pipeline is bit-for-bit
-	// equivalent to the serial loop by construction (validated op
-	// traces, journaled scoring, bitwise forks), so this is a
-	// debugging/benchmarking knob, not a semantics switch.
-	Serial bool
-
-	// Speculate forces the pipeline wherever the driver and policy
-	// support it. By default the driver speculates only when a second
-	// scheduler thread exists (GOMAXPROCS > 1): the prefetch conserves
-	// work rather than shrinking it, so without true overlap the
-	// pipeline can only add fork and mispredict overhead. Tests and
-	// the equivalence gate set Speculate to exercise the pipeline
-	// regardless. Ignored when Serial is set.
-	Speculate bool
-}
-
-// RunWith is Run with explicit driver configuration.
-func RunWith(ctx context.Context, e Driver, p Policy, c Config) (*Tally, error) {
-	if !c.Serial && (c.Speculate || runtime.GOMAXPROCS(0) > 1) &&
-		p.Prefetch != nil && p.Consume != nil {
-		if sp, ok := e.(Speculator); ok {
-			return runPipelined(ctx, sp, p)
-		}
-	}
-	return runSerial(ctx, e, p)
-}
-
-func errPolicy(p Policy) error {
-	return fmt.Errorf("search: policy %q needs Propose and Verify", p.Optimizer)
-}
-
-func runSerial(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 	t := &Tally{}
 	if p.Propose == nil || p.Verify == nil {
-		return t, errPolicy(p)
+		return t, fmt.Errorf("search: policy %q needs Propose and Verify", p.Optimizer)
 	}
 	proposed := metProposed.With(p.Optimizer)
 	accepted := metAccepted.With(p.Optimizer)
@@ -234,10 +173,10 @@ func runSerial(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 		default:
 			kept, err = runFirstAccept(e, r.Moves, t, p, proposed)
 		}
+		accepted.Add(uint64(kept))
 		if err != nil {
 			return t, err
 		}
-		accepted.Add(uint64(kept))
 		if p.RoundDone != nil {
 			stop, err := p.RoundDone(kept, t)
 			if err != nil {
@@ -251,26 +190,31 @@ func runSerial(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 }
 
 // runBatch applies every candidate in a transaction, peels from the
-// newest until Verify passes, and commits the survivors.
+// newest until Verify passes, and commits the survivors. A failure
+// before the keep decision rolls the whole transaction back; a failing
+// Accepted hook still counts and commits every survivor.
 func runBatch(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.Counter) (int, error) {
 	txn := e.BeginTxn()
+	abort := func(err error) (int, error) {
+		return 0, errors.Join(err, txn.Rollback())
+	}
 	for _, mv := range moves {
 		if err := txn.Apply(mv); err != nil {
-			return 0, err
+			return abort(err)
 		}
 		proposed.Inc()
 	}
 	for txn.Len() > 0 {
 		ok, err := p.Verify()
 		if err != nil {
-			return 0, err
+			return abort(err)
 		}
 		if ok {
 			break
 		}
 		mv, err := txn.PopRevert()
 		if err != nil {
-			return 0, err
+			return abort(err)
 		}
 		t.Peeled++
 		if p.Rejected != nil {
@@ -278,19 +222,19 @@ func runBatch(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.C
 		}
 	}
 	kept := txn.Moves()
+	var err error
 	for _, mv := range kept {
 		t.count(mv)
-		if p.Accepted != nil {
-			if err := p.Accepted(mv, t); err != nil {
-				return len(kept), err
-			}
+		if p.Accepted != nil && err == nil {
+			err = p.Accepted(mv, t)
 		}
 	}
 	txn.Commit()
-	return len(kept), nil
+	return len(kept), err
 }
 
-// runFirstAccept applies candidates in order until one verifies.
+// runFirstAccept applies candidates in order until one verifies. A
+// Verify failure reverts the candidate it was judging.
 func runFirstAccept(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.Counter) (int, error) {
 	for _, mv := range moves {
 		if err := e.Apply(mv); err != nil {
@@ -299,7 +243,7 @@ func runFirstAccept(e Driver, moves []engine.Move, t *Tally, p Policy, proposed 
 		proposed.Inc()
 		ok, err := p.Verify()
 		if err != nil {
-			return 0, err
+			return 0, errors.Join(err, e.Revert(mv))
 		}
 		if !ok {
 			if err := e.Revert(mv); err != nil {

@@ -73,7 +73,7 @@ func TestFirstAcceptKeepsFirstSurvivor(t *testing.T) {
 			return &Round{Moves: moves}, nil
 		},
 		// Reject the first candidate, accept the second.
-		Verify: func() (bool, error) { return len(rejected) == 1, nil },
+		Verify:   func() (bool, error) { return len(rejected) == 1, nil },
 		Rejected: func(mv engine.Move) { rejected = append(rejected, mv) },
 		Accepted: func(mv engine.Move, tl *Tally) error {
 			acceptedMv = mv
@@ -234,5 +234,138 @@ func TestAcceptedErrorPropagatesWithTally(t *testing.T) {
 	}
 	if tally.Moves != 1 {
 		t.Fatalf("tally should reflect the kept move: %+v", *tally)
+	}
+}
+
+// TestPipelinedBatchPeelToEmpty drains a Batch round down to nothing:
+// every move peels, the engine state is fully restored, and
+// RoundDone's accepted==0 stop rule ends the search. The name and the
+// serial subtest date from when a pipelined driver ran the same case;
+// the serial driver is now the only one.
+func TestPipelinedBatchPeelToEmpty(t *testing.T) {
+	t.Run("serial", func(t *testing.T) {
+		e, d := testEngine(t)
+		moves := upsizes(t, d, 3)
+		orig := make([]int, len(moves))
+		for i, mv := range moves {
+			orig[i] = d.SizeIndex(mv.Gate())
+		}
+		round := 0
+		tally, err := Run(context.Background(), e, Policy{
+			Optimizer: "test-peel-empty",
+			Propose: func(_ context.Context, _ *Tally) (*Round, error) {
+				if round > 0 {
+					t.Error("search continued after a fully-peeled round")
+					return nil, nil
+				}
+				round++
+				return &Round{Moves: moves, Mode: Batch}, nil
+			},
+			Verify: func() (bool, error) { return false, nil },
+			RoundDone: func(accepted int, _ *Tally) (bool, error) {
+				return accepted == 0, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *tally != (Tally{Peeled: 3, Rounds: 1}) {
+			t.Fatalf("tally = %+v", *tally)
+		}
+		for i, mv := range moves {
+			if got := d.SizeIndex(mv.Gate()); got != orig[i] {
+				t.Errorf("peeled move %d not reverted: size index %d", i, got)
+			}
+		}
+	})
+}
+
+// TestFailedStepLeavesDesignMatchingTally fails a hook mid-round and
+// checks that the design agrees with the returned Tally: a failure
+// before the keep decision puts the round's moves back, and a failing
+// Accepted hook still counts every move the round keeps.
+func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name     string
+		mode     Mode
+		verify   func(call int) (bool, error)
+		accepted func(engine.Move, *Tally) error
+		want     Tally
+	}{
+		{
+			// The first candidate bounces, the second one's check fails.
+			name: "first-accept verify error",
+			mode: FirstAccept,
+			verify: func(call int) (bool, error) {
+				if call == 1 {
+					return false, nil
+				}
+				return false, boom
+			},
+			want: Tally{Rounds: 1},
+		},
+		{
+			// One move peels, then the check on the remaining two fails.
+			name: "batch verify error",
+			mode: Batch,
+			verify: func(call int) (bool, error) {
+				if call == 1 {
+					return false, nil
+				}
+				return false, boom
+			},
+			want: Tally{Rounds: 1, Peeled: 1},
+		},
+		{
+			name:     "batch accepted error",
+			mode:     Batch,
+			verify:   func(int) (bool, error) { return true, nil },
+			accepted: func(engine.Move, *Tally) error { return boom },
+			want:     Tally{Moves: 3, SizeUps: 3, Rounds: 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, d := testEngine(t)
+			moves := upsizes(t, d, 3)
+			orig := make([]int, len(moves))
+			for i, mv := range moves {
+				orig[i] = d.SizeIndex(mv.Gate())
+			}
+			calls := 0
+			tally, err := Run(context.Background(), e, Policy{
+				Optimizer: "test-failed-step",
+				Propose: func(_ context.Context, tl *Tally) (*Round, error) {
+					if tl.Rounds > 0 {
+						return nil, nil
+					}
+					return &Round{Moves: moves, Mode: tc.mode}, nil
+				},
+				Verify: func() (bool, error) {
+					calls++
+					return tc.verify(calls)
+				},
+				Accepted: tc.accepted,
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			if *tally != tc.want {
+				t.Fatalf("tally = %+v, want %+v", *tally, tc.want)
+			}
+			applied := 0
+			for i, mv := range moves {
+				switch got := d.SizeIndex(mv.Gate()); got {
+				case orig[i]:
+				case orig[i] + 1:
+					applied++
+				default:
+					t.Fatalf("move %d: size index %d, started at %d", i, got, orig[i])
+				}
+			}
+			if applied != tally.Moves {
+				t.Fatalf("%d moves left on the design, tally counts %d", applied, tally.Moves)
+			}
+		})
 	}
 }

@@ -114,8 +114,7 @@ func (inc *Incremental) Result() *Result { return inc.res }
 // (it depends only on the circuit); the arrival state is three bulk
 // slice copies thanks to the flat layout, so the clone can Update
 // without disturbing the original — this is what lets parallel move
-// scorers (and the speculative round pipeline) each carry their own
-// timer.
+// scorers each carry their own timer.
 func (inc *Incremental) CloneFor(d *core.Design) *Incremental {
 	res := &Result{
 		Delay: inc.res.Delay.Clone(),
