@@ -1,7 +1,7 @@
 # Tier-1 checks (vet/build/test), the statleaklint invariant suite,
-# and the race pass over every package (the engine.ScoreAll and
-# montecarlo worker pools are the concurrent hot spots, but -race runs
-# repo-wide so new goroutines are covered by default).
+# and the race pass over every package (the montecarlo and job-server
+# worker pools are the concurrent hot spots, but -race runs repo-wide
+# so new goroutines are covered by default).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -39,7 +39,7 @@ race:
 	$(GO) test -race ./...
 
 # scenario runs the corner-family suite under the race detector: the
-# Family's cross-corner scoring fan-out, the scenario matrix itself,
+# Family's cross-corner scoring and mirroring, the scenario matrix itself,
 # and the 1×1-matrix golden equivalence guard (family must retrace the
 # single-engine trajectories bit-for-bit).
 scenario:
@@ -72,7 +72,7 @@ isle:
 
 # bench runs every benchmark in the repository: the root evaluation
 # harness (bench_test.go / DESIGN.md §5) plus the package-level
-# micro-benchmarks (engine round scoring and worker resync, …).
+# micro-benchmarks (engine family mirroring and corner scaling, …).
 # BENCHTIME=1x bench for a one-iteration smoke pass.
 BENCHTIME ?= 1s
 bench:

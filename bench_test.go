@@ -157,7 +157,8 @@ func BenchmarkSSTA(b *testing.B) {
 	}
 }
 
-// BenchmarkLeakageExact measures the O(n²k) reference lognormal sum.
+// BenchmarkLeakageExact measures the reference lognormal sum: an O(n²)
+// pair loop over a per-call table of exp(e_i·e_j) per grid-cell pair.
 func BenchmarkLeakageExact(b *testing.B) {
 	d, err := fixture.Suite("s1908")
 	if err != nil {
@@ -300,8 +301,8 @@ func BenchmarkEngineIncrementalVsFull(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineScoreAll measures one parallel scoring sweep of every
-// PO-gate candidate through the worker-pool ScoreAll path.
+// BenchmarkEngineScoreAll measures one exact scoring sweep of every
+// PO-gate candidate through ScoreAll.
 func BenchmarkEngineScoreAll(b *testing.B) {
 	d, err := fixture.Suite("s1908")
 	if err != nil {

@@ -4,9 +4,8 @@
 // clones (Design.Clone, Accumulator.CloneFor, Incremental.CloneFor)
 // or on immutable context snapshotted before the fan-out.
 //
-// ScoreAll's determinism argument (chunked partitioning, every worker
-// scoring from the same baseline) and the Monte Carlo pool's
-// replayability both rest on this: a goroutine that reads d.Vth or
+// The Monte Carlo pool's replayability rests on this (as any future
+// scoring fan-out's determinism would): a goroutine that reads d.Vth or
 // applies a move against the shared design races with its siblings,
 // and -race only catches the schedules a given run happens to
 // exercise. The analyzer flags any `go func` closure that captures a

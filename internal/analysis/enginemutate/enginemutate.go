@@ -21,7 +21,7 @@
 // core's validating setters (SetVth, SetSize, SetSizeIndex,
 // CopyAssignmentFrom) are forbidden — they keep the Design
 // self-consistent but still bypass the engine's move log, journals and
-// worker replay. A policy mutates the design only by returning moves
+// incremental caches. A policy mutates the design only by returning moves
 // for the driver to apply. Setter calls in ordinary optimizer code
 // (preparing a start point before the engine exists, restoring an
 // incumbent before a Refresh) stay legal.
@@ -100,7 +100,7 @@ func run(pass *analysis.Pass) error {
 				}
 			case *ast.CallExpr:
 				if m := mutatorCall(pass, n); m != "" && (restricted || inPolicyLit(stack, policyLits)) {
-					pass.Reportf(n.Pos(), "core.Design.%s bypasses the live engine's move log and worker replay: a search policy mutates the design only by returning engine moves", m)
+					pass.Reportf(n.Pos(), "core.Design.%s bypasses the live engine's move log and caches: a search policy mutates the design only by returning engine moves", m)
 				}
 			}
 			return true

@@ -2,7 +2,7 @@
 // the corner family's single-application invariant (PR 6): a move is
 // applied to the shared assignment exactly once — through
 // Family.Apply/Revert/BeginTxn — and *mirrored* into every other
-// corner's caches and replay logs. The per-corner engines a Family
+// corner's caches. The per-corner engines a Family
 // hands out via Engines()/Primary() alias one assignment; driving
 // Apply/Revert/Refresh or a transaction on one of them directly
 // mutates state the sibling corners believe they own, desynchronizing

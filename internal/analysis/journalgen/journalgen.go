@@ -1,10 +1,11 @@
 // Package journalgen defines the statleaklint analyzer that polices
 // the generation-stamped journal machinery from PR 4: the O(1)-retire
-// round journals in leakage.Accumulator / ssta.Incremental and the
-// engine's committed-move replay log.
+// round journals in leakage.Accumulator / ssta.Incremental, and the
+// ownership of engine-level replay state (Engine.log/gen) should a
+// committed-move replay log return — the engine carries none today.
 //
-// The replay-equivalence argument (a persistent scoring worker is
-// bitwise equal to a fresh clone) rests on two disciplines:
+// The net-zero argument (an exact scoring round leaves the caches
+// bitwise as it found them) rests on two disciplines:
 //
 //  1. Journal rounds are generation-ordered: every StartJournal is
 //     retired by a RestoreJournal in the same function, so a round
@@ -12,12 +13,12 @@
 //     is unsupported by construction — a second Start forgets the
 //     first — so an unpaired Start silently corrupts the restore
 //     path of whoever starts next.)
-//  2. Journal state is touched only on the replay path: the fields
-//     backing the journals (Accumulator.journal/spare,
-//     Incremental.journal/spare, Engine.log, Engine.gen) are owned by
-//     the files that implement recording and replay; any other file
-//     reading or writing them bypasses the generation ordering that
-//     makes retirement O(1).
+//  2. Journal state is touched only by its owners: the fields backing
+//     the journals (Accumulator.journal/spare,
+//     Incremental.journal/spare, and Engine.log/gen if present) are
+//     owned by the files that implement recording and restore; any
+//     other file reading or writing them bypasses the generation
+//     ordering that makes retirement O(1).
 package journalgen
 
 import (
@@ -46,8 +47,8 @@ var JournalTypes = map[typeKey]bool{
 
 // OwnerFiles maps a journal-state field to the file basenames allowed
 // to touch it. Everything else in those packages must go through
-// StartJournal/RestoreJournal (journals) or logMove/syncWorkers (the
-// engine's replay log and generation counter).
+// StartJournal/RestoreJournal (journals) or the owner file's accessors
+// (an engine replay log and generation counter).
 var OwnerFiles = map[typeKey]map[string][]string{
 	{"repro/internal/leakage", "Accumulator"}: {
 		"journal": {"journal.go", "leakage.go"},
@@ -83,10 +84,10 @@ func run(pass *analysis.Pass) error {
 // journalCall reports whether call invokes method (StartJournal or
 // RestoreJournal) on one of the journal-carrying types, returning the
 // journal type as the pairing key. Pairing is judged per type, not per
-// receiver expression: the same journal is legitimately started and
-// restored through different paths to the worker context (inc vs
-// wc.inc in engine.scoreAll), but a round that starts an Accumulator
-// journal must retire an Accumulator journal before the function ends.
+// receiver expression: the same journal may legitimately be started
+// and restored through different paths to one context (inc vs wc.inc),
+// but a round that starts an Accumulator journal must retire an
+// Accumulator journal before the function ends.
 func journalCall(pass *analysis.Pass, call *ast.CallExpr, method string) (typeKey, bool) {
 	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != method {

@@ -172,12 +172,29 @@ func (d *Design) Load(id int) float64 {
 // GateDelay returns the nominal delay [ps] of node id under the
 // current assignment (0 for primary inputs). In a biased corner view
 // "nominal" means at the corner's body-bias point.
-func (d *Design) GateDelay(id int) float64 {
+func (d *Design) GateDelay(id int) float64 { return d.GateDelayAt(id, d.Load(id)) }
+
+// GateDelayAt is GateDelay evaluated at a caller-supplied load, for
+// callers that already hold the gate's (pure) load sum.
+func (d *Design) GateDelayAt(id int, load float64) float64 {
+	return d.delayAs(id, d.Vth[id], d.Size[id], load)
+}
+
+// GateAs evaluates node id as if it had Vth class v and drive size s:
+// its nominal delay [ps] at the given load, and its subthreshold and
+// gate-tunneling leakage [nW]. The assignment is not touched; each
+// value is bitwise what GateDelayAt, GateSubLeak and GateGateLeak
+// return once the gate is set to (v, s).
+func (d *Design) GateAs(id int, v tech.VthClass, s, load float64) (delayPs, subNW, gateNW float64) {
+	return d.delayAs(id, v, s, load), d.subLeakAs(id, v, s), d.Lib.GateLeak(d.Circuit.Gate(id).Type, s)
+}
+
+func (d *Design) delayAs(id int, v tech.VthClass, s, load float64) float64 {
 	g := d.Circuit.Gate(id)
 	if d.BiasVth != nil {
-		return d.Lib.DelayWith(g.Type, d.Vth[id], d.Size[id], d.Load(id), 0, d.BiasVth[id])
+		return d.Lib.DelayWith(g.Type, v, s, load, 0, d.BiasVth[id])
 	}
-	return d.Lib.Delay(g.Type, d.Vth[id], d.Size[id], d.Load(id))
+	return d.Lib.Delay(g.Type, v, s, load)
 }
 
 // GateDelayWith returns the exact delay [ps] under parameter
@@ -236,12 +253,14 @@ func (d *Design) GateLeak(id int) float64 {
 
 // GateSubLeak returns the process-sensitive subthreshold component
 // [nW].
-func (d *Design) GateSubLeak(id int) float64 {
+func (d *Design) GateSubLeak(id int) float64 { return d.subLeakAs(id, d.Vth[id], d.Size[id]) }
+
+func (d *Design) subLeakAs(id int, v tech.VthClass, s float64) float64 {
 	g := d.Circuit.Gate(id)
 	if d.BiasVth != nil {
-		return d.Lib.SubLeakWith(g.Type, d.Vth[id], d.Size[id], d.BiasVth[id])
+		return d.Lib.SubLeakWith(g.Type, v, s, d.BiasVth[id])
 	}
-	return d.Lib.SubLeak(g.Type, d.Vth[id], d.Size[id])
+	return d.Lib.SubLeak(g.Type, v, s)
 }
 
 // GateGateLeak returns the Vth-independent gate-tunneling component

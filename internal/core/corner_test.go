@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tech"
 )
 
@@ -104,5 +105,47 @@ func TestCornerView(t *testing.T) {
 	short.Sizes = hot.Sizes[:1]
 	if _, err := d.CornerView(&short, nil); err == nil {
 		t.Fatal("mismatched size ladder must error")
+	}
+}
+
+// TestGateAsMatchesAssignment checks the read-only what-if evaluation:
+// GateAs at a target (Vth, size) returns bitwise what GateDelay,
+// GateSubLeak and GateGateLeak return once the gate is set to it, on
+// the plain design and on a body-biased corner view, and leaves the
+// assignment untouched.
+func TestGateAsMatchesAssignment(t *testing.T) {
+	d := c17(t)
+	bias := make([]float64, d.Circuit.NumNodes())
+	for i := range bias {
+		bias[i] = 0.03
+	}
+	biased, err := d.CornerView(nil, bias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []*core.Design{d, biased} {
+		for _, g := range view.Circuit.Gates() {
+			if g.Type.Arity() == 0 {
+				continue
+			}
+			id := g.ID
+			for _, v := range []tech.VthClass{tech.LowVth, tech.HighVth} {
+				for _, s := range view.Lib.Sizes {
+					load := view.Load(id)
+					vth0, size0 := view.Vth[id], view.Size[id]
+					delay, sub, gate := view.GateAs(id, v, s, load)
+					if view.Vth[id] != vth0 || view.Size[id] != size0 {
+						t.Fatalf("GateAs changed gate %d's assignment", id)
+					}
+					view.Vth[id], view.Size[id] = v, s
+					if delay != view.GateDelay(id) || delay != view.GateDelayAt(id, load) ||
+						sub != view.GateSubLeak(id) || gate != view.GateGateLeak(id) {
+						t.Fatalf("gate %d at (%v, %g): GateAs (%v, %v, %v) differs from the assigned gate",
+							id, v, s, delay, sub, gate)
+					}
+					view.Vth[id], view.Size[id] = vth0, size0
+				}
+			}
+		}
 	}
 }

@@ -12,23 +12,20 @@
 //     (Config.RefreshEvery) bounding floating-point drift over long
 //     move sequences.
 //   - The leakage percentile is maintained by leakage.Accumulator in
-//     O(k²) per move; the exact O(n²k) sum stays in package leakage
+//     O(k²) per move; the exact pairwise sum stays in package leakage
 //     for final scoreboards.
 //   - Both caches are built lazily: a purely corner-based consumer
 //     (the deterministic optimizer) never pays for SSTA state.
-//   - Score evaluates a move's effect and puts the state back —
-//     net-zero by construction. ScoreAll fans independent candidates
-//     out over a bounded pool of persistent per-worker evaluation
-//     contexts, resynced between rounds by replaying committed moves
-//     and journal-restored after each round (see worker.go), so
-//     scoring parallelizes without locking and without re-cloning the
-//     netlist every round.
+//   - Scoring never leaves a trace. Local scoring (ScoreLocal,
+//     ScoreAllLocal) is read-only: it evaluates the moved gate from
+//     the library and asks the accumulator what its quantile would be.
+//     Exact scoring (Score, ScoreAll) applies and reverts each move
+//     serially under a journal that restores the caches bitwise.
 package engine
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -48,7 +45,7 @@ var (
 	metReverted = obs.Default.Counter("statleak_engine_moves_reverted_total",
 		"moves undone through the engine (Revert and Txn rollbacks)")
 	metScored = obs.Default.Counter("statleak_engine_moves_scored_total",
-		"speculative move evaluations (Score/ScoreLocal/ScoreAll workers)")
+		"speculative move evaluations (Score/ScoreLocal/ScoreAll/ScoreAllLocal)")
 	metRefreshes = obs.Default.Histogram("statleak_engine_cache_refresh_seconds",
 		"latency of full timing+leakage cache rebuilds (periodic drift refresh)", nil)
 )
@@ -70,8 +67,6 @@ type Config struct {
 	// from scratch after this many applied moves, bounding drift
 	// (0 ⇒ 512; negative ⇒ never).
 	RefreshEvery int
-	// Workers bounds the ScoreAll fan-out (0 ⇒ runtime.NumCPU()).
-	Workers int
 }
 
 func (c *Config) setDefaults() {
@@ -83,9 +78,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RefreshEvery == 0 {
 		c.RefreshEvery = 512
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
 	}
 }
 
@@ -104,8 +96,7 @@ func (c Config) validate() error {
 }
 
 // Engine owns a design plus the cached analysis state the optimizers
-// iterate against. It is not safe for concurrent mutation; ScoreAll is
-// the one concurrency entry point and works on clones.
+// iterate against. It is not safe for concurrent use.
 type Engine struct {
 	d   *core.Design
 	cfg Config
@@ -119,13 +110,6 @@ type Engine struct {
 	cornerTmax float64
 
 	sinceRefresh int
-
-	// Persistent scoring workers (see worker.go): committed moves are
-	// logged while workers are live so each ScoreAll resyncs them by
-	// replay; a Refresh bumps gen, invalidating replay.
-	workers []*scoreWorker
-	log     []logOp
-	gen     int
 }
 
 // New wraps a design. The engine does not copy d: moves applied
@@ -182,7 +166,6 @@ func (e *Engine) Apply(m Move) error {
 		return err
 	}
 	metApplied.Inc()
-	e.logMove(m, false)
 	return e.noteChange(m.Gate())
 }
 
@@ -192,7 +175,6 @@ func (e *Engine) Revert(m Move) error {
 		return err
 	}
 	metReverted.Inc()
-	e.logMove(m, true)
 	return e.noteChange(m.Gate())
 }
 
@@ -216,18 +198,14 @@ func (e *Engine) noteChange(id int) error {
 }
 
 // Refresh rebuilds every live cache from the design's current state,
-// discarding accumulated floating-point drift. It also invalidates the
-// persistent scoring workers (replaying moves onto rebuilt caches
-// would reintroduce the drift the rebuild just discarded), so this is
-// the one hook a caller who mutated the design directly must use
-// before the next ScoreAll.
+// discarding accumulated floating-point drift. It is the one hook a
+// caller who mutated the design directly must use before the next
+// query.
 func (e *Engine) Refresh() error {
 	t0 := time.Now()
 	defer func() { metRefreshes.Observe(time.Since(t0).Seconds()) }()
 	e.corner = nil
 	e.sinceRefresh = 0
-	e.gen++
-	e.log = e.log[:0]
 	if e.inc != nil {
 		inc, err := ssta.NewIncremental(e.d)
 		if err != nil {

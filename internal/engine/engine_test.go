@@ -318,11 +318,11 @@ func candidateMoves(t *testing.T, d *core.Design) []Move {
 	return moves
 }
 
-// TestScoreAllMatchesSerial checks the parallel scorer against the
-// serial one, exact and local modes, on a scrambled design. The
-// parallel path is what `go test -race` exercises.
+// TestScoreAllMatchesSerial checks the batch scorers against
+// one-move-at-a-time scoring, exact and local modes, on a scrambled
+// design.
 func TestScoreAllMatchesSerial(t *testing.T) {
-	e, d := testEngine(t, "s432", Config{Workers: 8})
+	e, d := testEngine(t, "s432", Config{})
 	ids := gateIDs(d)
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 60; i++ {
@@ -334,35 +334,35 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 	}
 
 	moves := candidateMoves(t, d)
-	par, err := e.ScoreAll(moves)
+	batch, err := e.ScoreAll(moves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLocal, err := e.ScoreAllLocal(moves)
+	batchLocal, err := e.ScoreAllLocal(moves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) != len(moves) || len(parLocal) != len(moves) {
-		t.Fatalf("got %d/%d scores for %d moves", len(par), len(parLocal), len(moves))
+	if len(batch) != len(moves) || len(batchLocal) != len(moves) {
+		t.Fatalf("got %d/%d scores for %d moves", len(batch), len(batchLocal), len(moves))
 	}
 	for i, mv := range moves {
 		ser, err := e.Score(mv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(par[i].DLeakQNW-ser.DLeakQNW) > 1e-9 ||
-			math.Abs(par[i].DMarginPs-ser.DMarginPs) > 1e-9 ||
-			math.Abs(par[i].DOwnPs-ser.DOwnPs) > 1e-12 {
-			t.Fatalf("move %d (%v gate %d): parallel %+v vs serial %+v",
-				i, mv.Kind(), mv.Gate(), par[i], ser)
+		if math.Abs(batch[i].DLeakQNW-ser.DLeakQNW) > 1e-9 ||
+			math.Abs(batch[i].DMarginPs-ser.DMarginPs) > 1e-9 ||
+			math.Abs(batch[i].DOwnPs-ser.DOwnPs) > 1e-12 {
+			t.Fatalf("move %d (%v gate %d): batch %+v vs single %+v",
+				i, mv.Kind(), mv.Gate(), batch[i], ser)
 		}
 		serLocal, err := e.ScoreLocal(mv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(parLocal[i].DLeakQNW-serLocal.DLeakQNW) > 1e-9 ||
-			parLocal[i].DMarginPs != -parLocal[i].DOwnPs {
-			t.Fatalf("move %d: parallel local %+v vs serial local %+v", i, parLocal[i], serLocal)
+		if math.Abs(batchLocal[i].DLeakQNW-serLocal.DLeakQNW) > 1e-9 ||
+			batchLocal[i].DMarginPs != -batchLocal[i].DOwnPs {
+			t.Fatalf("move %d: batch local %+v vs single local %+v", i, batchLocal[i], serLocal)
 		}
 	}
 }

@@ -6,11 +6,8 @@
 // applied to the shared assignment exactly once — through the primary
 // engine — and then *mirrored* into every other corner: each secondary
 // engine folds the already-applied move into its incremental caches
-// and its persistent-worker replay log without re-running the design
-// mutation. That keeps PR 4's journal/replay machinery intact per
-// corner (one committed move replays into every corner's workers)
-// while avoiding per-corner re-cloning or per-corner full
-// re-evaluation.
+// without re-running the design mutation, so no corner is re-cloned
+// or fully re-evaluated per move.
 //
 // Aggregation semantics (what the search's verify/accept sees):
 //
@@ -29,7 +26,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/leakage"
@@ -41,8 +37,7 @@ import (
 )
 
 // Family owns one evaluation engine per scenario corner over a single
-// shared assignment. Like Engine it is not safe for concurrent
-// mutation; ScoreAll* is the one concurrency entry point.
+// shared assignment. Like Engine it is not safe for concurrent use.
 type Family struct {
 	base    *core.Design
 	m       *scenario.Matrix
@@ -89,20 +84,19 @@ func NewFamily(d *core.Design, cfg Config, m *scenario.Matrix) (*Family, error) 
 
 // mirror folds a move that was already applied to the shared
 // assignment (through another corner's engine) into this engine's
-// caches and worker-replay log. The design mutation itself must not
-// repeat — corner views alias one assignment, and Move.Apply's
-// precondition check would reject the second application — so mirror
-// skips it and reuses the incremental-update path Apply takes after
-// mutating. Unexported on purpose: only the Family may call it, which
-// is what keeps "per-corner contexts are mutated only through Family
-// commit/replay" a compile-level invariant.
+// caches. The design mutation itself must not repeat — corner views
+// alias one assignment, and Move.Apply's precondition check would
+// reject the second application — so mirror skips it and reuses the
+// incremental-update path Apply takes after mutating. Unexported on
+// purpose: only the Family may call it, which is what keeps
+// "per-corner contexts are mutated only through Family commit/replay"
+// a compile-level invariant.
 func (e *Engine) mirror(m Move, revert bool) error {
 	if revert {
 		metReverted.Inc()
 	} else {
 		metApplied.Inc()
 	}
-	e.logMove(m, revert)
 	return e.noteChange(m.Gate())
 }
 
@@ -347,11 +341,9 @@ func (f *Family) Corner(tmaxPs float64) (*sta.Result, error) {
 // ScoreAllLocalCtx scores independent candidates across every corner
 // with the local timing surrogate and returns corner-aggregated
 // scores: DLeakQNW aggregated per the matrix, DMarginPs the min over
-// corners, DOwnPs/DLeakNomNW from the primary corner. Corners fan out
-// concurrently when every per-corner call takes the engine's worker
-// path (which scores on clones); otherwise they run sequentially,
-// because the engine's inline path scores directly on the corner
-// design, whose assignment arrays the corners share.
+// corners, DOwnPs/DLeakNomNW from the primary corner. Corners are
+// scored one after another; exact scoring must be, because it applies
+// each move to the assignment arrays the corners share.
 func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move) ([]Score, error) {
 	return f.scoreAll(ctx, moves, false)
 }
@@ -372,42 +364,15 @@ func (f *Family) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		return nil, nil
 	}
 	per := make([][]Score, len(f.engines))
-	one := func(i int, e *Engine) error {
+	for i, e := range f.engines {
 		var err error
 		if exact {
 			per[i], err = e.ScoreAllCtx(ctx, moves)
 		} else {
 			per[i], err = e.ScoreAllLocalCtx(ctx, moves)
 		}
-		return err
-	}
-	concurrent := len(moves) >= 2
-	for _, e := range f.engines {
-		if e.cfg.Workers < 2 {
-			concurrent = false
-		}
-	}
-	if concurrent {
-		errs := make([]error, len(f.engines))
-		var wg sync.WaitGroup
-		for i, e := range f.engines {
-			wg.Add(1)
-			go func(i int, e *Engine) {
-				defer wg.Done()
-				errs[i] = one(i, e)
-			}(i, e)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i, e := range f.engines {
-			if err := one(i, e); err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Score, len(moves))

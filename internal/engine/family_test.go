@@ -307,11 +307,9 @@ func vthBytes(d *core.Design) []uint8 {
 }
 
 // TestFamilyScoreAllAggregation checks the cross-corner candidate
-// scoring — including the concurrent fan-out path (Workers ≥ 2, ≥ 2
-// moves) the race detector exercises — against per-corner ScoreAll
-// results aggregated by hand.
+// scoring against per-corner ScoreAll results aggregated by hand.
 func TestFamilyScoreAllAggregation(t *testing.T) {
-	f := testFamily(t, "s432", Config{Workers: 2}, fourCornerSpec(t))
+	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
 	d := f.Design()
 
 	var moves []Move

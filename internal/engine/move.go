@@ -46,6 +46,10 @@ type Move interface {
 	Apply(d *core.Design) error
 	// Revert undoes the move on d.
 	Revert(d *core.Design) error
+	// target checks Apply's precondition on d without mutating it and
+	// returns the gate's Vth class and drive size after the move — the
+	// read-only view local scoring evaluates.
+	target(d *core.Design) (tech.VthClass, float64, error)
 }
 
 // VthSwap reassigns a gate's threshold class.
@@ -69,12 +73,29 @@ func (m VthSwap) Kind() Kind { return KindVthSwap }
 func (m VthSwap) Apply(d *core.Design) error  { return swapVth(d, m.ID, m.From, m.To) }
 func (m VthSwap) Revert(d *core.Design) error { return swapVth(d, m.ID, m.To, m.From) }
 
+func (m VthSwap) target(d *core.Design) (tech.VthClass, float64, error) {
+	if err := checkVth(d, m.ID, m.From); err != nil {
+		return 0, 0, err
+	}
+	if !m.To.Valid() {
+		return 0, 0, fmt.Errorf("engine: invalid Vth class %d", uint8(m.To))
+	}
+	return m.To, d.Size[m.ID], nil
+}
+
 func swapVth(d *core.Design, id int, from, to tech.VthClass) error {
+	if err := checkVth(d, id, from); err != nil {
+		return err
+	}
+	return d.SetVth(id, to)
+}
+
+func checkVth(d *core.Design, id int, from tech.VthClass) error {
 	if d.Vth[id] != from {
 		return fmt.Errorf("engine: gate %d has Vth class %d, move expected %d",
 			id, uint8(d.Vth[id]), uint8(from))
 	}
-	return d.SetVth(id, to)
+	return nil
 }
 
 // Resize moves a gate between two adjacent-or-not ladder indices.
@@ -115,9 +136,26 @@ func (m Resize) Kind() Kind {
 func (m Resize) Apply(d *core.Design) error  { return resize(d, m.ID, m.FromIdx, m.ToIdx) }
 func (m Resize) Revert(d *core.Design) error { return resize(d, m.ID, m.ToIdx, m.FromIdx) }
 
+func (m Resize) target(d *core.Design) (tech.VthClass, float64, error) {
+	if err := checkSize(d, m.ID, m.FromIdx); err != nil {
+		return 0, 0, err
+	}
+	if m.ToIdx < 0 || m.ToIdx >= len(d.Lib.Sizes) {
+		return 0, 0, fmt.Errorf("engine: size index %d outside ladder [0,%d)", m.ToIdx, len(d.Lib.Sizes))
+	}
+	return d.Vth[m.ID], d.Lib.Sizes[m.ToIdx], nil
+}
+
 func resize(d *core.Design, id, from, to int) error {
+	if err := checkSize(d, id, from); err != nil {
+		return err
+	}
+	return d.SetSizeIndex(id, to)
+}
+
+func checkSize(d *core.Design, id, from int) error {
 	if got := d.SizeIndex(id); got != from {
 		return fmt.Errorf("engine: gate %d at size index %d, move expected %d", id, got, from)
 	}
-	return d.SetSizeIndex(id, to)
+	return nil
 }

@@ -108,7 +108,7 @@ func (ctx *Context) AblationCorrelation() (*report.Table, error) {
 	return t, nil
 }
 
-// AblationLognormalSum (A3) compares the exact O(n²k) Wilkinson sum
+// AblationLognormalSum (A3) compares the exact O(n²) Wilkinson sum
 // with the factored O(nk²) approximation on accuracy and runtime.
 func (ctx *Context) AblationLognormalSum() (*report.Table, error) {
 	t := report.NewTable(

@@ -1,0 +1,141 @@
+package leakage
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fixture"
+	"repro/internal/logic"
+	"repro/internal/stats"
+	"repro/internal/tech"
+)
+
+// exactPairwise is the reference Exact: the O(n²k) pair loop that
+// evaluates exp(e_i·e_j) afresh for every gate pair.
+func exactPairwise(d *core.Design) (*Analysis, error) {
+	exps := exponents(d)
+	var ids []int
+	for _, g := range d.Circuit.Gates() {
+		if g.Type != logic.Input {
+			ids = append(ids, g.ID)
+		}
+	}
+	gateLeak := 0.0
+	m := make([]float64, len(ids))
+	for i, id := range ids {
+		m[i] = d.GateSubLeak(id) * exps[id].expHalf
+		gateLeak += d.GateGateLeak(id)
+	}
+	mean := 0.0
+	for _, v := range m {
+		mean += v
+	}
+	second := 0.0
+	for i, idi := range ids {
+		exi := &exps[idi]
+		second += m[i] * m[i] * exi.expFull
+		ei := exi.e
+		for j := i + 1; j < len(ids); j++ {
+			ej := exps[ids[j]].e[:len(ei)]
+			cov := 0.0
+			for k, v := range ei {
+				cov += v * ej[k]
+			}
+			second += 2 * m[i] * m[j] * math.Exp(cov)
+		}
+	}
+	return finish(mean, second, gateLeak)
+}
+
+// randomize assigns every logic gate a random Vth class and ladder
+// size.
+func randomize(d *core.Design, rng *rand.Rand) {
+	for _, g := range d.Circuit.Gates() {
+		if g.Type == logic.Input {
+			continue
+		}
+		d.Vth[g.ID] = tech.VthClass(rng.Intn(int(tech.NumVthClasses)))
+		d.Size[g.ID] = d.Lib.Sizes[rng.Intn(len(d.Lib.Sizes))]
+	}
+}
+
+// TestExactMatchesPairwiseReference pins the cell-pair exponent table
+// in Exact to the per-pair reference bit for bit.
+func TestExactMatchesPairwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, name := range []string{"s432", "s880", "s1908"} {
+		d, err := fixture.Suite(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			randomize(d, rng)
+			got, err := Exact(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := exactPairwise(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want float64
+			}{
+				{"MeanNW", got.MeanNW, want.MeanNW},
+				{"StdNW", got.StdNW, want.StdNW},
+				{"Quantile(0.99)", got.Quantile(0.99), want.Quantile(0.99)},
+			} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Errorf("%s trial %d: %s %v, pairwise reference %v", name, trial, c.what, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantileIfMatchesUpdate checks the read-only what-if quantile
+// against moving the gate on a clone, updating the clone's
+// accumulator and reading its quantile — bit for bit, and without
+// writing the original accumulator.
+func TestQuantileIfMatchesUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d, err := fixture.Suite("s880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomize(d, rng)
+	acc, err := NewAccumulator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, g := range d.Circuit.Gates() {
+		if g.Type != logic.Input {
+			ids = append(ids, g.ID)
+		}
+	}
+	const p = 0.99
+	z := stats.NormalQuantile(p)
+	q0 := acc.Quantile(p)
+	for trial := 0; trial < 200; trial++ {
+		id := ids[rng.Intn(len(ids))]
+		v := tech.VthClass(rng.Intn(int(tech.NumVthClasses)))
+		s := d.Lib.Sizes[rng.Intn(len(d.Lib.Sizes))]
+		_, sub, gate := d.GateAs(id, v, s, d.Load(id))
+		got := acc.QuantileIf(id, sub, gate, z)
+
+		dc := d.Clone()
+		ref := acc.CloneFor(dc)
+		dc.Vth[id], dc.Size[id] = v, s
+		ref.Update(id)
+		if want := ref.Quantile(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d gate %d → (%v, %g): QuantileIf %v, clone update %v", trial, id, v, s, got, want)
+		}
+		if q := acc.Quantile(p); math.Float64bits(q) != math.Float64bits(q0) {
+			t.Fatalf("trial %d: QuantileIf changed the accumulator's quantile %v → %v", trial, q0, q)
+		}
+	}
+}

@@ -1,11 +1,10 @@
 package leakage
 
-// Journal support: a scoring worker that keeps a persistent
-// Accumulator across rounds (see engine.ScoreAll) records every value
-// it is about to overwrite and restores the lot when the round ends,
-// so the worker's state returns bitwise to its pre-round snapshot —
-// including the floating-point drift a clone-per-round scorer would
-// have discarded with the clone. The journal is O(state touched): the
+// Journal support: an exact scoring round (see engine.ScoreAll)
+// records every value it is about to overwrite and restores the lot
+// when the round ends, so the accumulator returns bitwise to its
+// pre-round snapshot — including the floating-point drift the round's
+// apply/revert pairs leave behind. The journal is O(state touched): the
 // scalar sums and the k-vectors are snapshotted once, the per-gate
 // stride-3 rows (see Accumulator.pg) only on the first Update of each
 // gate, copied into one flat undo slice.

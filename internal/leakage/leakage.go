@@ -13,7 +13,8 @@
 //
 // Two evaluators are provided:
 //
-//   - Exact: the O(n²·k) pairwise second moment — the reference.
+//   - Exact: the O(n²) pairwise second moment, with exp(e_i·e_j)
+//     tabulated per grid-cell pair — the reference.
 //   - Accumulator: an O(k²)-per-update factored approximation using
 //     exp(c) ≈ 1+c+c²/2 on the (small) pairwise exponent covariances,
 //     which the optimizer updates incrementally per move.
@@ -101,7 +102,11 @@ func exponents(d *core.Design) []exponent {
 }
 
 // Exact computes the reference moment-matched analysis with the full
-// O(n²·k) pairwise covariance sum.
+// pairwise covariance sum. Every gate in a grid cell shares one loading
+// row (variation.Model.Loads), so exp(e_i·e_j) depends only on the cell
+// pair: it is tabulated once per call and the O(n²) pair loop reads the
+// table in i<j order, so the result is bitwise that of evaluating the
+// exponential per gate pair (a test pins this).
 func Exact(d *core.Design) (*Analysis, error) {
 	exps := exponents(d)
 	var ids []int
@@ -124,32 +129,58 @@ func Exact(d *core.Design) (*Analysis, error) {
 	for _, v := range m {
 		mean += v
 	}
+	cell, covExp := cellCovExp(d, ids, exps)
 	second := 0.0
 	for i, idi := range ids {
-		exi := &exps[idi]
 		// diagonal: E[L_i²] = m0² exp(2(|e|²+s²)) = m_i²·exp(|e|²+s²)
-		second += m[i] * m[i] * exi.expFull
-		ei := exi.e
+		second += m[i] * m[i] * exps[idi].expFull
+		row := covExp[cell[i]]
 		for j := i + 1; j < len(ids); j++ {
-			ej := exps[ids[j]].e[:len(ei)]
-			cov := 0.0
-			for k, v := range ei {
-				cov += v * ej[k]
-			}
-			second += 2 * m[i] * m[j] * math.Exp(cov)
+			second += 2 * m[i] * m[j] * row[cell[j]]
 		}
 	}
 	return finish(mean, second, gateLeak)
 }
 
-func finish(mean, second, gateLeak float64) (*Analysis, error) {
-	variance := second - mean*mean
-	if variance < 0 {
-		variance = 0
+// cellCovExp returns the grid cell of every gate in ids (index-aligned)
+// and the table covExp[a][b] = exp(e_a·e_b) over the occupied cells.
+// Each dot product is summed in component order, as a per-gate-pair
+// evaluation would sum it, which keeps Exact bitwise stable.
+func cellCovExp(d *core.Design, ids []int, exps []exponent) (cell []int, covExp [][]float64) {
+	vm := d.Var
+	nc := vm.Cfg.GridDim * vm.Cfg.GridDim
+	cell = make([]int, len(ids))
+	rows := make([][]float64, nc) // exponent loading row per occupied cell
+	for i, id := range ids {
+		g := d.Circuit.Gate(id)
+		cell[i] = vm.CellOf(g.X, g.Y)
+		rows[cell[i]] = exps[id].e
 	}
-	fit, err := stats.LognormalFromMoments(mean, variance)
+	covExp = make([][]float64, nc)
+	for a, ea := range rows {
+		if ea == nil {
+			continue
+		}
+		covExp[a] = make([]float64, nc)
+		for b, eb := range rows {
+			if eb == nil {
+				continue
+			}
+			eb = eb[:len(ea)]
+			cov := 0.0
+			for k, v := range ea {
+				cov += v * eb[k]
+			}
+			covExp[a][b] = math.Exp(cov)
+		}
+	}
+	return cell, covExp
+}
+
+func finish(mean, second, gateLeak float64) (*Analysis, error) {
+	fit, variance, err := fitMoments(mean, second)
 	if err != nil {
-		return nil, fmt.Errorf("leakage: %v", err)
+		return nil, err
 	}
 	return &Analysis{
 		MeanNW:     gateLeak + mean,
@@ -157,6 +188,21 @@ func finish(mean, second, gateLeak float64) (*Analysis, error) {
 		Fit:        fit,
 		GateLeakNW: gateLeak,
 	}, nil
+}
+
+// fitMoments matches a lognormal to the variational part of the sum
+// from its first two raw moments — the tail Analysis and QuantileIf
+// share.
+func fitMoments(mean, second float64) (stats.Lognormal, float64, error) {
+	variance := second - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	fit, err := stats.LognormalFromMoments(mean, variance)
+	if err != nil {
+		return stats.Lognormal{}, 0, fmt.Errorf("leakage: %v", err)
+	}
+	return fit, variance, nil
 }
 
 // Accumulator maintains the factored second-moment state of the
@@ -180,7 +226,7 @@ type Accumulator struct {
 	// stride of pgStride floats per gate: E[L_i] under the current
 	// assignment, the exp(|e|²+s²) factor for E[L_i²], and the
 	// deterministic gate-leak contribution. One update touches one
-	// contiguous triple; journal replay and clones walk (or bulk-copy)
+	// contiguous triple; journal restore and clones walk (or bulk-copy)
 	// one flat slice.
 	pg       []float64
 	M, Q     float64
@@ -231,8 +277,7 @@ func NewAccumulator(d *core.Design) (*Accumulator, error) {
 // d, which must be a clone of the original design in the same
 // assignment state. The exponent statistics are shared (they depend
 // only on placement and technology, not on the assignment); all
-// accumulated sums are deep-copied so the clone can Update freely —
-// parallel move scorers each carry their own accumulator this way.
+// accumulated sums are deep-copied so the clone can Update freely.
 func (a *Accumulator) CloneFor(d *core.Design) *Accumulator {
 	return &Accumulator{
 		d:        d,
@@ -306,9 +351,55 @@ func (a *Accumulator) Analysis() (*Analysis, error) {
 	for _, x := range a.b {
 		bf += x * x
 	}
-	off := (a.M*a.M - a.Q) + (v2 - a.d1) + 0.5*(bf-a.d2)
-	second := a.second2 + off
-	return finish(mean, second, a.gateLeak)
+	return finish(mean, secondMoment(a.M, a.Q, v2, a.d1, bf, a.d2, a.second2), a.gateLeak)
+}
+
+// secondMoment folds the factored sums into the second raw moment of
+// the subthreshold total (see the Accumulator comment), given
+// v2 = |v|² and bf = ‖B‖²_F.
+func secondMoment(M, Q, v2, d1, bf, d2, second2 float64) float64 {
+	off := (M*M - Q) + (v2 - d1) + 0.5*(bf-d2)
+	return second2 + off
+}
+
+// QuantileIf returns the leakage quantile the accumulator would report
+// if gate id's subthreshold leakage were subNW and its gate-tunneling
+// leakage gateNW, where z = stats.NormalQuantile(p) is hoisted out of
+// the caller's candidate loop. It writes no state: the sums are those
+// Update would leave (addGate −1 with the cached row, then +1 with the
+// new values) and Analysis would fold, expression for expression, so
+// the result is bitwise Update followed by Quantile(p) on a clone.
+// Like Quantile it returns NaN on a moment-matching failure.
+func (a *Accumulator) QuantileIf(id int, subNW, gateNW, z float64) float64 {
+	ex := &a.exps[id]
+	pg := a.pg[pgStride*id : pgStride*id+pgStride]
+	m0, m1 := pg[0], subNW*ex.expHalf
+	M := a.M - m0 + m1
+	Q := a.Q - m0*m0 + m1*m1
+	d1 := a.d1 - m0*m0*ex.normE2 + m1*m1*ex.normE2
+	d2 := a.d2 - m0*m0*ex.normE2*ex.normE2 + m1*m1*ex.normE2*ex.normE2
+	second2 := a.second2 - m0*m0*pg[1] + m1*m1*ex.expFull
+	gateLeak := a.gateLeak - pg[2] + gateNW
+	// v and each B row change along e only; summing the squares row by
+	// row visits them in Analysis's order.
+	e := ex.e[:a.k]
+	v := a.v[:a.k]
+	v2, bf := 0.0, 0.0
+	for k, ek := range e {
+		s0, s1 := m0*ek, m1*ek
+		x := v[k] - s0 + s1
+		v2 += x * x
+		row := a.b[k*a.k : (k+1)*a.k : (k+1)*a.k]
+		for l, el := range e {
+			y := row[l] - s0*el + s1*el
+			bf += y * y
+		}
+	}
+	fit, _, err := fitMoments(M, secondMoment(M, Q, v2, d1, bf, d2, second2))
+	if err != nil {
+		return math.NaN()
+	}
+	return gateLeak + math.Exp(fit.Mu+fit.Sigma*z)
 }
 
 // Quantile is a convenience for Analysis().Quantile(p); it returns

@@ -190,11 +190,9 @@ func TestNominalMatrixGoldenEquivalence(t *testing.T) {
 }
 
 // TestSerialConfigGoldenEquivalence recomputes the scoreboard on a
-// single-proc scheduler. The search driver is serial; only ScoreAll's
-// within-round worker fan-out runs concurrently, and it writes each
-// score to its move's slot. So the trajectories must not depend on
-// how those workers are scheduled: one proc must reproduce the golden
-// bit for bit.
+// single-proc scheduler. The search driver and its candidate scoring
+// run on the caller's goroutine, so the trajectories must not depend
+// on GOMAXPROCS: one proc must reproduce the golden bit for bit.
 func TestSerialConfigGoldenEquivalence(t *testing.T) {
 	if *update {
 		t.Skip("golden file is regenerated by TestCrossFlowGoldenScoreboard")

@@ -206,8 +206,7 @@ func addTally(res *Result, t *search.Tally) {
 }
 
 // engineConfig maps optimizer options onto the engine's evaluation
-// parameters (refresh cadence and worker count stay at engine
-// defaults).
+// parameters (the refresh cadence stays at the engine default).
 func engineConfig(o Options) engine.Config {
 	return engine.Config{
 		TmaxPs:         o.TmaxPs,

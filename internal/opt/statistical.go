@@ -199,8 +199,9 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 // accepting against per-gate statistical slacks inside an engine
 // transaction with incremental-SSTA rollback. Timing is maintained
 // incrementally — only the fanout cones of moved gates are re-timed —
-// and candidates are scored in parallel via the engine's worker pool,
-// which is what keeps large-circuit optimization in seconds.
+// and candidates are scored read-only against the leakage
+// accumulator, which is what keeps large-circuit optimization in
+// seconds.
 func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) error {
 	d := e.Design()
 	maxMoves := o.MaxMoves
@@ -356,8 +357,8 @@ type statCand struct {
 // consumed, and returns them best first. The per-move delay effect is
 // the local cell-delay change (a phase-B move never changes the gate's
 // own load), so candidates prefilter analytically and the
-// leakage-percentile deltas evaluate in parallel through the engine's
-// worker pool. Mean delay is the right
+// leakage-percentile deltas come from the engine's read-only local
+// scorer. Mean delay is the right
 // currency against StatisticalSlack's sigma-adjusted budget; the
 // move's (small) effect on the circuit sigma is caught by the
 // incremental-SSTA batch verification.
@@ -373,8 +374,8 @@ func statCandidates(ctx context.Context, e evaluator, o Options, slack []float64
 		if slack[id] <= slackEps {
 			continue
 		}
-		m0 := d.GateDelay(id)
 		load := d.Load(id)
+		m0 := d.GateDelayAt(id, load)
 
 		consider := func(mv engine.Move, dNew float64) {
 			if blocked[keyOf(mv)] {

@@ -41,10 +41,10 @@ type Incremental struct {
 
 	// Scratch state reused across Updates: the candidate form and the
 	// gate-delay form of the node being re-evaluated, the endpoint
-	// fold accumulator, and the heap's membership set + id storage.
+	// fold accumulator, and the per-node pending flags of the sweep
+	// (all false between Updates).
 	next, gd, fold Canonical
-	hIDs           []int
-	hIn            []bool
+	dirty          []bool
 
 	// loadPs memoizes Design.Load per node — a pure function of the
 	// fanout sinks' sizes, so entries stay bitwise exact until a sink
@@ -88,7 +88,7 @@ func (inc *Incremental) initScratch() {
 	inc.next = NewCanonical(0, k)
 	inc.gd = NewCanonical(0, k)
 	inc.fold = NewCanonical(0, k)
-	inc.hIn = make([]bool, len(inc.res.mean))
+	inc.dirty = make([]bool, len(inc.res.mean))
 	inc.loadPs = make([]float64, len(inc.res.mean))
 	inc.loadOK = make([]bool, len(inc.res.mean))
 }
@@ -113,8 +113,7 @@ func (inc *Incremental) Result() *Result { return inc.res }
 // state (no re-analysis is performed). The topological order is shared
 // (it depends only on the circuit); the arrival state is three bulk
 // slice copies thanks to the flat layout, so the clone can Update
-// without disturbing the original — this is what lets parallel move
-// scorers each carry their own timer.
+// without disturbing the original.
 func (inc *Incremental) CloneFor(d *core.Design) *Incremental {
 	res := &Result{
 		Delay: inc.res.Delay.Clone(),
@@ -128,88 +127,50 @@ func (inc *Incremental) CloneFor(d *core.Design) *Incremental {
 	return c
 }
 
-// posHeap is a min-heap of node IDs keyed by topological position. Its
-// id storage and membership set are owned by the timer and reused
-// across Updates; membership self-clears because every pushed id is
-// popped before Update returns. The sift-up/sift-down loops are the
-// container/heap algorithm specialized to ints (identical swap and
-// comparison order, so the pop sequence — and with it the retiming
-// order — is exactly what the interface-based heap produced, without
-// boxing every id into an interface value).
-type posHeap struct {
-	ids []int
-	pos []int
-	in  []bool
-}
-
-func (h *posHeap) less(i, j int) bool { return h.pos[h.ids[i]] < h.pos[h.ids[j]] }
-
-func (h *posHeap) add(id int) {
-	if h.in[id] {
-		return
-	}
-	h.in[id] = true
-	h.ids = append(h.ids, id)
-	j := len(h.ids) - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-		j = i
-	}
-}
-
-func (h *posHeap) pop() int {
-	n := len(h.ids) - 1
-	h.ids[0], h.ids[n] = h.ids[n], h.ids[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h.less(j2, j) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-		i = j
-	}
-	x := h.ids[n]
-	h.ids = h.ids[:n]
-	return x
-}
-
 // Update re-times the design after the given gates changed (Vth or
 // size). A size change alters the gate's own delay and its drivers'
 // loads, so drivers are re-seeded too; passing the changed gate alone
 // is always sufficient. Returns the number of nodes re-evaluated.
+//
+// Pending nodes are flagged, and the sweep walks the topological order
+// from the lowest seeded position until none is pending. Every node a
+// re-timing flags is a combinational fanout, which lies later in the
+// order, so the sweep visits exactly the nodes a lowest-position-first
+// worklist would, in the same order.
 func (inc *Incremental) Update(changed ...int) int {
 	d := inc.d
 	c := d.Circuit
-	h := &posHeap{ids: inc.hIDs[:0], pos: inc.pos, in: inc.hIn}
+	dirty := inc.dirty
+	pending, from := 0, len(inc.order)
+	seed := func(id int) {
+		if !dirty[id] {
+			dirty[id] = true
+			pending++
+			from = min(from, inc.pos[id])
+		}
+	}
 	for _, id := range changed {
-		h.add(id)
+		seed(id)
 		// Drivers see a different load if this gate's size changed;
 		// re-seeding them (and dropping their cached loads)
 		// unconditionally is cheap and always safe.
 		for _, f := range c.Gate(id).Fanin {
 			inc.loadOK[f] = false
 			if c.Gate(f).Type != logic.Input {
-				h.add(f)
+				seed(f)
 			}
 		}
 	}
 	visited := 0
 	foldStale := false
 	next := &inc.next
-	for len(h.ids) > 0 {
-		id := h.pop()
-		h.in[id] = false
+	for p := from; pending > 0; p++ {
+		id := inc.order[p]
+		if !dirty[id] {
+			continue
+		}
+		dirty[id] = false
+		pending--
 		g := c.Gate(id)
 		if g.Type == logic.Input {
 			continue
@@ -241,14 +202,14 @@ func (inc *Incremental) Update(changed ...int) int {
 			foldStale = true
 		}
 		for _, s := range g.Fanout {
-			if c.Gate(s).Type != logic.Dff {
-				h.add(s)
-			}
 			// DFF sinks have no combinational dependence on their data
 			// pin; the endpoint fold below picks up the change.
+			if c.Gate(s).Type != logic.Dff && !dirty[s] {
+				dirty[s] = true
+				pending++
+			}
 		}
 	}
-	inc.hIDs = h.ids[:0]
 	// Delay is a pure function of the endpoint rows (each written at
 	// most once per update, in topo order), so when none of them changed
 	// the refold would reproduce the current value bitwise — skip it.

@@ -1,6 +1,6 @@
 package ssta
 
-// Journal support: a persistent scoring worker (see engine.ScoreAll)
+// Journal support: an exact scoring round (see engine.ScoreAll)
 // records every arrival form an Update overwrites and restores them
 // when the round ends, returning the timer bitwise to its pre-round
 // state. Recording is O(cones touched): the circuit-delay form is

@@ -13,8 +13,8 @@ import (
 //
 // Arrival forms are stored structure-of-arrays — three parallel flat
 // float slices indexed by node ID instead of a []Canonical — so the
-// incremental timer's journal replay and the scoring workers' resync
-// walk contiguous memory and clone in three bulk copies. Use
+// incremental timer's journal restore walks contiguous memory and a
+// clone is three bulk copies. Use
 // Arrival(id) for the canonical view of one node.
 type Result struct {
 	// Delay is the canonical circuit delay: the statistical max over
