@@ -4,21 +4,29 @@
 # so new goroutines are covered by default).
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet statleaklint lint-sarif build test race scenario chaos cluster isle bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet gofmt statleaklint lint-sarif build test race scenario chaos cluster isle bench bench-json experiments-output fuzz daemon
 
 ci: lint build test race scenario chaos cluster isle fuzz
 
-# lint = go vet plus the repository's own analyzer suite. statleaklint
-# enforces the engine's determinism/transactionality/concurrency
-# invariants; the -suppressions pass fails on any //lint:ignore whose
-# reason is missing. See DESIGN.md §"Static analysis" and
-# internal/analysis/.
-lint: vet statleaklint
+# lint = go vet, the gofmt check, and the repository's own analyzer
+# suite. statleaklint enforces the engine's determinism/move-discipline/
+# concurrency invariants; the -suppressions pass fails on any
+# //lint:ignore whose reason is missing. See DESIGN.md §"Static
+# analysis" and internal/analysis/.
+lint: vet gofmt statleaklint
 
 vet:
 	$(GO) vet ./...
+
+# gofmt fails on any Go file gofmt would rewrite, outside the analyzer
+# fixtures (testdata/, deliberately hand-laid-out) and the benchmark's
+# build tree (.bench_build/).
+gofmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 statleaklint:
 	$(GO) run ./cmd/statleaklint ./...

@@ -1,5 +1,5 @@
 // Command statleaklint runs the repository's determinism/
-// transactionality/concurrency analyzer suite
+// move-discipline/concurrency analyzer suite
 // (internal/analysis/statleaklint).
 //
 // Standalone over package patterns (exit 1 on findings):

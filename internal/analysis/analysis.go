@@ -3,7 +3,7 @@
 // repository's needs: an Analyzer runs over one type-checked package
 // and reports Diagnostics. The statleaklint suite (see the analyzer
 // subpackages and cmd/statleaklint) uses it to mechanically enforce
-// the engine's determinism and transactionality invariants that
+// the engine's determinism and move-discipline invariants that
 // previously lived only in prose (DESIGN.md §"Static analysis").
 //
 // The framework deliberately mirrors the upstream API surface

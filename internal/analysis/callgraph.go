@@ -3,10 +3,10 @@ package analysis
 // Package-level call graph with the three interprocedural facts the
 // concurrency analyzers need. The per-function AST walks of the
 // original suite judge one body at a time; the PR 4–6 invariants
-// (journal generation ordering, ctx-dominated round loops, goroutine
-// stop signals, no blocking under a lock) are properties of *paths
-// through* functions, so the framework builds one static call graph
-// per package and hands it to every Pass:
+// (ctx-dominated round loops, goroutine stop signals, no blocking
+// under a lock) are properties of *paths through* functions, so the
+// framework builds one static call graph per package and hands it to
+// every Pass:
 //
 //   - FlowsIntoGoroutine: the function is launched by a go statement
 //     (directly, or called — transitively — from a go'd closure), so

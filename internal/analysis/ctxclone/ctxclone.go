@@ -50,19 +50,16 @@ var SharedTypes = map[typeKey]bool{
 	{"repro/internal/core", "Design"}:         true,
 	{"repro/internal/engine", "Engine"}:       true,
 	{"repro/internal/engine", "Family"}:       true,
-	{"repro/internal/engine", "scoreCtx"}:     true,
 	{"repro/internal/ssta", "Incremental"}:    true,
 	{"repro/internal/leakage", "Accumulator"}: true,
-	{"repro/internal/opt", "evaluator"}:       true,
 }
 
 // CloneMethods are the methods that constitute the engine's clone
 // path: calling them on captured shared state is the approved way to
 // get a private copy.
 var CloneMethods = map[string]bool{
-	"Clone":       true,
-	"CloneFor":    true,
-	"newScoreCtx": true,
+	"Clone":    true,
+	"CloneFor": true,
 }
 
 // ImmutableFields lists per-type fields that are shared immutable
@@ -75,18 +72,16 @@ var ImmutableFields = map[typeKey]map[string]bool{
 // PolicyPath/PolicyType identify the search-policy struct whose
 // callback literals get the capture discipline, and PolicyHandles the
 // shared types they may capture: the evaluation handles the driver
-// keeps current between rounds — the engine, the corner family, and
-// opt's evaluator interface over both. Their accessors are the
-// sanctioned window onto evaluation state; a per-corner context pulled
-// out of a Family (f.Engines()[k]) is NOT such a handle and must not
-// be held across rounds.
+// keeps current between rounds — the engine and the corner family.
+// Their accessors are the sanctioned window onto evaluation state; a
+// per-corner context pulled out of a Family (f.Engines()[k]) is NOT
+// such a handle and must not be held across rounds.
 var (
 	PolicyPath    = "repro/internal/search"
 	PolicyType    = "Policy"
 	PolicyHandles = map[typeKey]bool{
 		{"repro/internal/engine", "Engine"}: true,
 		{"repro/internal/engine", "Family"}: true,
-		{"repro/internal/opt", "evaluator"}: true,
 	}
 )
 

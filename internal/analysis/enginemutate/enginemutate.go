@@ -1,5 +1,5 @@
 // Package enginemutate defines the statleaklint analyzer that guards
-// the transactional engine's central invariant (PR 1): the per-gate
+// the evaluation engine's central invariant (PR 1): the per-gate
 // assignment state of a core.Design — the Vth and Size slices, and
 // since the scenario-family refactor the per-node BiasVth corner
 // context — is written only through the engine's Move Apply/Revert
@@ -8,7 +8,7 @@
 //
 // A direct slice write from an optimizer desynchronizes the engine's
 // incremental SSTA and factored-leakage caches without tripping any
-// error: scores drift, transactions no longer revert to the baseline,
+// error: scores drift, reverts no longer return to the baseline,
 // and the corruption surfaces far from its cause. The analyzer flags
 // direct writes to those fields outside internal/core and
 // internal/engine, and also flags capturing the raw slices (which
@@ -20,9 +20,9 @@
 // and inside the callbacks of a search.Policy composite literal, even
 // core's validating setters (SetVth, SetSize, SetSizeIndex,
 // CopyAssignmentFrom) are forbidden — they keep the Design
-// self-consistent but still bypass the engine's move log, journals and
-// incremental caches. A policy mutates the design only by returning moves
-// for the driver to apply. Setter calls in ordinary optimizer code
+// self-consistent but still bypass the engine's incremental caches. A
+// policy mutates the design only by returning moves for the driver to
+// apply. Setter calls in ordinary optimizer code
 // (preparing a start point before the engine exists, restoring an
 // incumbent before a Refresh) stay legal.
 package enginemutate

@@ -1,10 +1,9 @@
 // Package familymirror defines the statleaklint analyzer that keeps
-// the corner family's single-application invariant (PR 6): a move is
-// applied to the shared assignment exactly once — through
-// Family.Apply/Revert/BeginTxn — and *mirrored* into every other
-// corner's caches. The per-corner engines a Family
-// hands out via Engines()/Primary() alias one assignment; driving
-// Apply/Revert/Refresh or a transaction on one of them directly
+// the corner family's single-application invariant: a move is applied
+// to the shared assignment exactly once — through Family.Apply/Revert
+// — and *mirrored* into every other corner's caches. The per-corner
+// engines a Family hands out via Engines()/Primary() alias one
+// assignment; driving Apply/Revert/Refresh on one of them directly
 // mutates state the sibling corners believe they own, desynchronizing
 // their incremental caches in a way no error check catches (the
 // second corner's precondition check never runs).
@@ -28,7 +27,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "familymirror",
 	Doc: "corner engines from Family.Engines()/Primary() must not receive " +
-		"Apply/Revert/Refresh/transaction calls: commit through the Family so every corner mirrors the move",
+		"Apply/Revert/Refresh calls: commit through the Family so every corner mirrors the move",
 	Run: run,
 }
 
@@ -52,11 +51,9 @@ var CornerAccessors = map[string]bool{
 // assignment or rebuild caches — the calls that must route through the
 // Family.
 var MutatingMethods = map[string]bool{
-	"Apply":    true,
-	"Revert":   true,
-	"Refresh":  true,
-	"Begin":    true,
-	"BeginTxn": true,
+	"Apply":   true,
+	"Revert":  true,
+	"Refresh": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -80,7 +77,7 @@ func run(pass *analysis.Pass) error {
 			recv := analysis.Unparen(sel.X)
 			if fromAccessor(pass, recv) {
 				pass.Reportf(call.Pos(),
-					"corner engine from Family accessor receives %s directly: commit through the Family (Apply/Revert/BeginTxn) so every corner mirrors the move",
+					"corner engine from Family accessor receives %s directly: commit through the Family (Apply/Revert/Refresh) so every corner mirrors the move",
 					sel.Sel.Name)
 				return true
 			}

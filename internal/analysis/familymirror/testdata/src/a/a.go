@@ -29,12 +29,3 @@ func ranged(f *engine.Family, m engine.Move) {
 		e.Apply(m) // want `corner engine "e" \(bound from a Family accessor\) receives Apply directly`
 	}
 }
-
-func transact(f *engine.Family, m engine.Move) error {
-	tx := f.Primary().BeginTxn() // want `corner engine from Family accessor receives BeginTxn directly`
-	if err := tx.Apply(m); err != nil {
-		return err
-	}
-	tx.Commit()
-	return nil
-}

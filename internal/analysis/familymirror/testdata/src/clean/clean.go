@@ -9,11 +9,6 @@ func commit(f *engine.Family, m engine.Move) error {
 	if err := f.Apply(m); err != nil {
 		return err
 	}
-	tx := f.BeginTxn()
-	if err := tx.Apply(m); err != nil {
-		return err
-	}
-	tx.Commit()
 	return f.Revert(m)
 }
 

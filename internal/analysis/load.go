@@ -74,6 +74,12 @@ func goList(dir string, patterns ...string) ([]*listedPackage, error) {
 // reachable from patterns (targets and transitive deps, std included).
 // analysistest uses it to type-check fixtures that import repository
 // packages.
+//
+// The export data comes from a `go list` subprocess, so the test cache
+// would never learn which sources a fixture suite depends on and could
+// replay a pass after an edit breaks the fixtures. Stat-ing every Go
+// file of each non-standard package records those sources in the test
+// log: editing any of them invalidates the cached result.
 func ExportMap(dir string, patterns ...string) (map[string]string, error) {
 	pkgs, err := goList(dir, patterns...)
 	if err != nil {
@@ -83,6 +89,14 @@ func ExportMap(dir string, patterns ...string) (map[string]string, error) {
 	for _, lp := range pkgs {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
+		}
+		if lp.Standard {
+			continue
+		}
+		for _, name := range lp.GoFiles {
+			if _, err := os.Stat(filepath.Join(lp.Dir, name)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return exports, nil

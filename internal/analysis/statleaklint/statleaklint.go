@@ -1,8 +1,10 @@
-// Package statleaklint registers the analyzer suite that mechanically
-// enforces the evaluation engine's determinism, transactionality, and
-// concurrency-lifecycle invariants. cmd/statleaklint runs it
-// standalone or as a `go vet -vettool`; DESIGN.md §"Static analysis"
-// documents each invariant.
+// Package statleaklint registers the nine-analyzer suite that
+// mechanically enforces the evaluation engine's determinism,
+// move-discipline (the design changes only through Apply/Revert, and a
+// Family's corners only through the Family), and concurrency-lifecycle
+// invariants. cmd/statleaklint runs it standalone or as a
+// `go vet -vettool`; DESIGN.md §"Static analysis" documents each
+// invariant.
 package statleaklint
 
 import (
@@ -14,7 +16,6 @@ import (
 	"repro/internal/analysis/familymirror"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/goroleak"
-	"repro/internal/analysis/journalgen"
 	"repro/internal/analysis/lockscope"
 	"repro/internal/analysis/seededrand"
 )
@@ -29,7 +30,6 @@ func Analyzers() []*analysis.Analyzer {
 		familymirror.Analyzer,
 		floatcmp.Analyzer,
 		goroleak.Analyzer,
-		journalgen.Analyzer,
 		lockscope.Analyzer,
 		seededrand.Analyzer,
 	}

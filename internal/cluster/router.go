@@ -305,10 +305,10 @@ func (c *Coordinator) list(f server.ListFilter) server.JobList {
 // Info is the /v1/cluster payload: ring membership, per-replica
 // health, and the coordinator's routing counters.
 type Info struct {
-	Members  []string      `json:"members"`
-	VNodes   int           `json:"vnodes"`
-	Replicas []ReplicaInfo `json:"replicas"`
-	Jobs     int           `json:"jobs"`
+	Members  []string       `json:"members"`
+	VNodes   int            `json:"vnodes"`
+	Replicas []ReplicaInfo  `json:"replicas"`
+	Jobs     int            `json:"jobs"`
 	ByState  map[string]int `json:"jobs_by_state"`
 }
 

@@ -1,9 +1,10 @@
-// Package engine provides the transactional evaluation engine shared
-// by every optimizer: it owns a *core.Design together with cached
+// Package engine provides the evaluation engine shared by every
+// optimizer: it owns a *core.Design together with cached
 // incremental-SSTA timing state, factored-Wilkinson leakage state, and
 // a memoized deterministic corner analysis, and keeps all three
-// consistent as moves are applied, reverted, batched in transactions,
-// or scored speculatively.
+// consistent with the design. Apply is the only way to change the
+// design an engine evaluates and Revert the only way to undo a change;
+// scoring never changes it.
 //
 // The design decisions, in brief:
 //
@@ -16,11 +17,11 @@
 //     for final scoreboards.
 //   - Both caches are built lazily: a purely corner-based consumer
 //     (the deterministic optimizer) never pays for SSTA state.
-//   - Scoring never leaves a trace. Local scoring (ScoreLocal,
-//     ScoreAllLocal) is read-only: it evaluates the moved gate from
-//     the library and asks the accumulator what its quantile would be.
-//     Exact scoring (Score, ScoreAll) applies and reverts each move
-//     serially under a journal that restores the caches bitwise.
+//   - Scoring never leaves a trace. Local scoring (ScoreAllLocalCtx)
+//     is read-only: it evaluates the moved gate from the library and
+//     asks the accumulator what its quantile would be. Exact scoring
+//     (ScoreAll) applies and reverts each move serially on a scratch
+//     clone of the design and both caches.
 package engine
 
 import (
@@ -41,11 +42,11 @@ import (
 // move; exported at GET /metrics by statleakd.
 var (
 	metApplied = obs.Default.Counter("statleak_engine_moves_applied_total",
-		"moves applied through the engine (Apply and committed Txn moves)")
+		"moves applied through the engine (Apply)")
 	metReverted = obs.Default.Counter("statleak_engine_moves_reverted_total",
-		"moves undone through the engine (Revert and Txn rollbacks)")
+		"moves undone through the engine (Revert)")
 	metScored = obs.Default.Counter("statleak_engine_moves_scored_total",
-		"speculative move evaluations (Score/ScoreLocal/ScoreAll/ScoreAllLocal)")
+		"speculative move evaluations (ScoreAll/ScoreAllLocalCtx)")
 	metRefreshes = obs.Default.Histogram("statleak_engine_cache_refresh_seconds",
 		"latency of full timing+leakage cache rebuilds (periodic drift refresh)", nil)
 )
@@ -310,8 +311,18 @@ func (e *Engine) Corner(tmaxPs float64) (*sta.Result, error) {
 	if e.corner != nil && stats.EqExact(e.cornerTmax, tmaxPs) {
 		return e.corner, nil
 	}
-	n := e.d.Circuit.NumNodes()
-	delays := make([]float64, n)
+	r, err := e.cornerSTA(tmaxPs)
+	if err != nil {
+		return nil, err
+	}
+	e.corner, e.cornerTmax = r, tmaxPs
+	return r, nil
+}
+
+// cornerSTA runs deterministic STA against tmaxPs with every gate's
+// delay evaluated afresh at the engine's corner.
+func (e *Engine) cornerSTA(tmaxPs float64) (*sta.Result, error) {
+	delays := make([]float64, e.d.Circuit.NumNodes())
 	for _, g := range e.d.Circuit.Gates() {
 		if g.Type == logic.Input {
 			continue
@@ -322,10 +333,5 @@ func (e *Engine) Corner(tmaxPs float64) (*sta.Result, error) {
 			delays[g.ID] = e.d.GateDelayWith(g.ID, e.dLc, e.dVc)
 		}
 	}
-	r, err := sta.AnalyzeDelays(e.d.Circuit, delays, tmaxPs, e.d.Lib.P.DffSetupPs)
-	if err != nil {
-		return nil, err
-	}
-	e.corner, e.cornerTmax = r, tmaxPs
-	return r, nil
+	return sta.AnalyzeDelays(e.d.Circuit, delays, tmaxPs, e.d.Lib.P.DffSetupPs)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,16 +133,16 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestTxnRollbackRestoresState checks the transactional contract: after
-// a rollback the assignment is restored bit-for-bit and the engine's
-// incrementally maintained quantiles return to their pre-transaction
-// values.
-func TestTxnRollbackRestoresState(t *testing.T) {
+// TestRevertRestoresState checks the undo contract: reverting a run of
+// applied moves newest first restores the assignment bit-for-bit and
+// returns the engine's incrementally maintained quantiles to their
+// pre-run values.
+func TestRevertRestoresState(t *testing.T) {
 	e, d := testEngine(t, "s432", Config{})
 	ids := gateIDs(d)
 	rng := rand.New(rand.NewSource(11))
 
-	// Scramble the starting point so the rollback target is not the
+	// Scramble the starting point so the revert target is not the
 	// trivial all-LVT/min-size assignment.
 	for i := 0; i < 40; i++ {
 		if mv, ok := randomMove(d, ids, rng); ok {
@@ -162,31 +163,29 @@ func TestTxnRollbackRestoresState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	txn := e.Begin()
-	applied := 0
-	for applied < 50 {
+	var applied []Move
+	for len(applied) < 50 {
 		mv, ok := randomMove(d, ids, rng)
 		if !ok {
 			continue
 		}
-		if err := txn.Apply(mv); err != nil {
+		if err := e.Apply(mv); err != nil {
 			t.Fatal(err)
 		}
-		applied++
+		applied = append(applied, mv)
 	}
-	if txn.Len() != applied {
-		t.Fatalf("txn.Len() = %d, want %d", txn.Len(), applied)
-	}
-	if err := txn.Rollback(); err != nil {
-		t.Fatal(err)
+	for i := len(applied) - 1; i >= 0; i-- {
+		if err := e.Revert(applied[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for i := range vth0 {
 		if d.Vth[i] != vth0[i] {
-			t.Fatalf("gate %d: Vth %v after rollback, want %v", i, d.Vth[i], vth0[i])
+			t.Fatalf("gate %d: Vth %v after revert, want %v", i, d.Vth[i], vth0[i])
 		}
 		if d.Size[i] != size0[i] {
-			t.Fatalf("gate %d: size %g after rollback, want %g", i, d.Size[i], size0[i])
+			t.Fatalf("gate %d: size %g after revert, want %g", i, d.Size[i], size0[i])
 		}
 	}
 	q1, err := e.DelayQuantile(0.99)
@@ -198,14 +197,10 @@ func TestTxnRollbackRestoresState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if re := relErr(q1, q0); re > 1e-9 {
-		t.Fatalf("delay q99 %.12g after rollback, want %.12g (rel err %.2g)", q1, q0, re)
+		t.Fatalf("delay q99 %.12g after revert, want %.12g (rel err %.2g)", q1, q0, re)
 	}
 	if re := relErr(l1, l0); re > 1e-9 {
-		t.Fatalf("leak q99 %.12g after rollback, want %.12g (rel err %.2g)", l1, l0, re)
-	}
-
-	if err := txn.Rollback(); err == nil {
-		t.Fatal("second Rollback on a closed transaction should fail")
+		t.Fatalf("leak q99 %.12g after revert, want %.12g (rel err %.2g)", l1, l0, re)
 	}
 }
 
@@ -242,7 +237,7 @@ func TestMoveReplayOutOfOrderFails(t *testing.T) {
 	}
 }
 
-// TestScoreIsNetZero checks that Score measures a move without
+// TestScoreIsNetZero checks that exact scoring measures a move without
 // changing the engine's observable state, and that its deltas match
 // what actually applying the move produces.
 func TestScoreIsNetZero(t *testing.T) {
@@ -264,10 +259,11 @@ func TestScoreIsNetZero(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		sc, err := e.Score(mv)
+		scs, err := e.ScoreAll([]Move{mv})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sc := scs[0]
 
 		q1, _ := e.DelayQuantile(e.Config().YieldTarget)
 		l1, _ := e.LeakQuantile(e.Config().LeakPercentile)
@@ -338,7 +334,7 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchLocal, err := e.ScoreAllLocal(moves)
+	batchLocal, err := e.ScoreAllLocalCtx(context.Background(), moves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,20 +342,22 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 		t.Fatalf("got %d/%d scores for %d moves", len(batch), len(batchLocal), len(moves))
 	}
 	for i, mv := range moves {
-		ser, err := e.Score(mv)
+		sers, err := e.ScoreAll([]Move{mv})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ser := sers[0]
 		if math.Abs(batch[i].DLeakQNW-ser.DLeakQNW) > 1e-9 ||
 			math.Abs(batch[i].DMarginPs-ser.DMarginPs) > 1e-9 ||
 			math.Abs(batch[i].DOwnPs-ser.DOwnPs) > 1e-12 {
 			t.Fatalf("move %d (%v gate %d): batch %+v vs single %+v",
 				i, mv.Kind(), mv.Gate(), batch[i], ser)
 		}
-		serLocal, err := e.ScoreLocal(mv)
+		serLocals, err := e.ScoreAllLocalCtx(context.Background(), []Move{mv})
 		if err != nil {
 			t.Fatal(err)
 		}
+		serLocal := serLocals[0]
 		if math.Abs(batchLocal[i].DLeakQNW-serLocal.DLeakQNW) > 1e-9 ||
 			batchLocal[i].DMarginPs != -batchLocal[i].DOwnPs {
 			t.Fatalf("move %d: batch local %+v vs single local %+v", i, batchLocal[i], serLocal)

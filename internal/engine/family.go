@@ -29,11 +29,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/leakage"
-	"repro/internal/logic"
 	"repro/internal/scenario"
 	"repro/internal/ssta"
 	"repro/internal/sta"
-	"repro/internal/stats"
 )
 
 // Family owns one evaluation engine per scenario corner over a single
@@ -150,7 +148,7 @@ func (f *Family) NumCorners() int { return len(f.engines) }
 func (f *Family) Names() []string { return f.names }
 
 // Engines exposes the per-corner engines (read-only: mutate only
-// through Family Apply/Revert/BeginTxn).
+// through Family Apply/Revert/Refresh).
 func (f *Family) Engines() []*Engine { return f.engines }
 
 // Primary returns the corner-0 engine.
@@ -342,22 +340,9 @@ func (f *Family) Corner(tmaxPs float64) (*sta.Result, error) {
 // with the local timing surrogate and returns corner-aggregated
 // scores: DLeakQNW aggregated per the matrix, DMarginPs the min over
 // corners, DOwnPs/DLeakNomNW from the primary corner. Corners are
-// scored one after another; exact scoring must be, because it applies
-// each move to the assignment arrays the corners share.
+// scored one after another.
 func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move) ([]Score, error) {
-	return f.scoreAll(ctx, moves, false)
-}
-
-// ScoreAllCtx is ScoreAllLocalCtx with exact (cone re-timed) scoring.
-func (f *Family) ScoreAllCtx(ctx context.Context, moves []Move) ([]Score, error) {
-	return f.scoreAll(ctx, moves, true)
-}
-
-func (f *Family) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Score, error) {
 	if len(f.engines) == 1 {
-		if exact {
-			return f.engines[0].ScoreAllCtx(ctx, moves)
-		}
 		return f.engines[0].ScoreAllLocalCtx(ctx, moves)
 	}
 	if len(moves) == 0 {
@@ -366,12 +351,7 @@ func (f *Family) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 	per := make([][]Score, len(f.engines))
 	for i, e := range f.engines {
 		var err error
-		if exact {
-			per[i], err = e.ScoreAllCtx(ctx, moves)
-		} else {
-			per[i], err = e.ScoreAllLocalCtx(ctx, moves)
-		}
-		if err != nil {
+		if per[i], err = e.ScoreAllLocalCtx(ctx, moves); err != nil {
 			return nil, err
 		}
 	}
@@ -428,19 +408,7 @@ func (f *Family) CornerScoreboard() ([]CornerMetrics, error) {
 		cm.NominalLeakNW = e.d.TotalLeak()
 		// Fresh corner STA (Engine.Corner memoizes and would be stale
 		// after a direct assignment restore).
-		n := e.d.Circuit.NumNodes()
-		delays := make([]float64, n)
-		for _, g := range e.d.Circuit.Gates() {
-			if g.Type == logic.Input {
-				continue
-			}
-			if stats.EqZero(e.dLc) && stats.EqZero(e.dVc) {
-				delays[g.ID] = e.d.GateDelay(g.ID)
-			} else {
-				delays[g.ID] = e.d.GateDelayWith(g.ID, e.dLc, e.dVc)
-			}
-		}
-		r, err := sta.AnalyzeDelays(e.d.Circuit, delays, e.cfg.TmaxPs, e.d.Lib.P.DffSetupPs)
+		r, err := e.cornerSTA(e.cfg.TmaxPs)
 		if err != nil {
 			return nil, fmt.Errorf("engine: corner %q: %w", f.names[i], err)
 		}
@@ -449,73 +417,3 @@ func (f *Family) CornerScoreboard() ([]CornerMetrics, error) {
 	}
 	return out, nil
 }
-
-// FamilyTxn batches moves across every corner — the family analogue of
-// Txn, driving Family.Apply/Revert so peels and commits stay mirrored.
-type FamilyTxn struct {
-	f      *Family
-	moves  []Move
-	closed bool
-}
-
-// Begin opens a family transaction. Only one should be live at a time.
-func (f *Family) Begin() *FamilyTxn { return &FamilyTxn{f: f} }
-
-// Apply performs a move inside the transaction.
-func (t *FamilyTxn) Apply(m Move) error {
-	if t.closed {
-		return fmt.Errorf("engine: Apply on a closed transaction")
-	}
-	if err := t.f.Apply(m); err != nil {
-		return err
-	}
-	t.moves = append(t.moves, m)
-	return nil
-}
-
-// Len returns the number of applied, not-yet-reverted moves.
-func (t *FamilyTxn) Len() int { return len(t.moves) }
-
-// Moves returns the applied moves in application order (read-only).
-func (t *FamilyTxn) Moves() []Move { return t.moves }
-
-// PopRevert undoes the most recent move across every corner and
-// removes it from the transaction.
-func (t *FamilyTxn) PopRevert() (Move, error) {
-	if t.closed {
-		return nil, fmt.Errorf("engine: PopRevert on a closed transaction")
-	}
-	if len(t.moves) == 0 {
-		return nil, fmt.Errorf("engine: PopRevert on an empty transaction")
-	}
-	m := t.moves[len(t.moves)-1]
-	if err := t.f.Revert(m); err != nil {
-		return nil, err
-	}
-	t.moves = t.moves[:len(t.moves)-1]
-	return m, nil
-}
-
-// Rollback undoes every remaining move in reverse order and closes the
-// transaction.
-func (t *FamilyTxn) Rollback() error {
-	if t.closed {
-		return fmt.Errorf("engine: Rollback on a closed transaction")
-	}
-	for len(t.moves) > 0 {
-		if _, err := t.PopRevert(); err != nil {
-			return err
-		}
-	}
-	t.closed = true
-	return nil
-}
-
-// Commit keeps every remaining move and closes the transaction.
-func (t *FamilyTxn) Commit() {
-	t.closed = true
-}
-
-// BeginTxn opens a transaction behind the search driver's Batch
-// interface.
-func (f *Family) BeginTxn() Batch { return f.Begin() }

@@ -237,10 +237,10 @@ func TestFamilyAggregation(t *testing.T) {
 	}
 }
 
-// TestFamilyTxnRollback batches moves through a FamilyTxn and rolls
-// them back: every corner must land exactly on its pre-transaction
-// metrics, and the closed transaction must refuse further use.
-func TestFamilyTxnRollback(t *testing.T) {
+// TestFamilyRevertRestoresCorners applies moves through the Family,
+// peels the newest and reverts the rest: every corner must land exactly
+// on its pre-run metrics.
+func TestFamilyRevertRestoresCorners(t *testing.T) {
 	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
 	d := f.Design()
 	ids := gateIDs(d)
@@ -255,36 +255,27 @@ func TestFamilyTxnRollback(t *testing.T) {
 	}
 	vthBefore := append([]uint8(nil), vthBytes(d)...)
 
-	txn := f.Begin()
+	var applied []Move
 	rng := rand.New(rand.NewSource(3))
-	for txn.Len() < 5 {
+	for len(applied) < 5 {
 		m, ok := randomMove(d, ids, rng)
 		if !ok {
 			continue
 		}
-		if err := txn.Apply(m); err != nil {
+		if err := f.Apply(m); err != nil {
 			t.Fatal(err)
 		}
+		applied = append(applied, m)
 	}
-	if _, err := txn.PopRevert(); err != nil {
-		t.Fatal(err)
-	}
-	if txn.Len() != 4 {
-		t.Fatalf("txn length %d after PopRevert, want 4", txn.Len())
-	}
-	if err := txn.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Apply(nil); err == nil {
-		t.Fatal("Apply on a closed transaction must error")
-	}
-	if _, err := txn.PopRevert(); err == nil {
-		t.Fatal("PopRevert on a closed transaction must error")
+	for i := len(applied) - 1; i >= 0; i-- {
+		if err := f.Revert(applied[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for i, b := range vthBytes(d) {
 		if b != vthBefore[i] {
-			t.Fatalf("rollback left gate %d assignment changed", i)
+			t.Fatalf("revert left gate %d assignment changed", i)
 		}
 	}
 	for i, e := range f.Engines() {
@@ -293,7 +284,7 @@ func TestFamilyTxnRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if q != before[i] {
-			t.Errorf("corner %q: leak q %v after rollback, want %v", f.Names()[i], q, before[i])
+			t.Errorf("corner %q: leak q %v after revert, want %v", f.Names()[i], q, before[i])
 		}
 	}
 }

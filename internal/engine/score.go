@@ -25,20 +25,27 @@ type Score struct {
 	DLeakNomNW float64
 }
 
-// exactScorer applies, measures and reverts moves on the engine's own
-// caches, with the baseline quantities captured once per round. The
-// caller journals the caches around the round.
+// exactScorer applies, measures and reverts moves on a scratch
+// engine, with the baseline quantities captured once per round.
 type exactScorer struct {
 	e           *Engine
 	q0, margin0 float64 // baseline leakage percentile and yield margin
 }
 
-// ensureExact builds both caches exact scoring needs.
-func (e *Engine) ensureExact() error {
+// scratch returns a throwaway copy of the engine for exact scoring: a
+// clone of the design with both caches cloned onto it. Moves applied to
+// the copy never reach the engine or the assignment arrays it may
+// share with sibling corners.
+func (e *Engine) scratch() (*Engine, error) {
 	if err := e.ensureAcc(); err != nil {
-		return err
+		return nil, err
 	}
-	return e.ensureTiming()
+	if err := e.ensureTiming(); err != nil {
+		return nil, err
+	}
+	d := e.d.Clone()
+	return &Engine{d: d, cfg: e.cfg, dLc: e.dLc, dVc: e.dVc,
+		acc: e.acc.CloneFor(d), inc: e.inc.CloneFor(d)}, nil
 }
 
 func (e *Engine) newExactScorer() exactScorer {
@@ -51,7 +58,7 @@ func (e *Engine) newExactScorer() exactScorer {
 
 // score evaluates one move and reverts it. The apply/revert pair
 // cancels in the factored leakage sums and the re-timed cone converges
-// back, up to floating-point drift the round's journal discards.
+// back, up to floating-point drift that stays on the scratch engine.
 func (c exactScorer) score(m Move) (Score, error) {
 	metScored.Inc()
 	e, id := c.e, m.Gate()
@@ -76,31 +83,12 @@ func (c exactScorer) score(m Move) (Score, error) {
 	return s, nil
 }
 
-// Score evaluates one move exactly — cone-local re-timing plus an
-// O(k²) leakage update — without changing the engine's observable
-// state. The caches are journaled for the call's duration and
-// restored bitwise: scoring is net-zero not just within tolerance but
-// bit for bit, so a scored-but-unapplied engine is identical to an
-// untouched one.
-func (e *Engine) Score(m Move) (Score, error) {
-	if err := e.ensureExact(); err != nil {
-		return Score{}, err
-	}
-	e.acc.StartJournal()
-	e.inc.StartJournal()
-	defer func() {
-		e.acc.RestoreJournal()
-		e.inc.RestoreJournal()
-	}()
-	return e.newExactScorer().score(m)
-}
-
-// ScoreAll scores independent candidate moves exactly, one after
-// another on the engine's own caches. Results are index-aligned with
-// moves. The caches are journaled for the call and restored bitwise
-// when it returns, so a scoring sweep leaves no floating-point residue
-// on the engine; within the sweep each move sees the drift its
-// predecessors' apply/revert pairs left.
+// ScoreAll scores independent candidate moves exactly — cone-local
+// re-timing plus an O(k²) leakage update per move — one after another
+// on one scratch copy of the engine. Results are index-aligned with
+// moves. The engine itself is never written; within the sweep each
+// move sees the drift its predecessors' apply/revert pairs left on the
+// copy.
 func (e *Engine) ScoreAll(moves []Move) ([]Score, error) {
 	//lint:ignore ctxflow uncancellable compatibility wrapper; callers needing deadlines use ScoreAllCtx
 	return e.ScoreAllCtx(context.Background(), moves)
@@ -111,16 +99,11 @@ func (e *Engine) ScoreAll(moves []Move) ([]Score, error) {
 // move. On cancellation the partial scores are discarded and
 // ctx.Err() is returned.
 func (e *Engine) ScoreAllCtx(ctx context.Context, moves []Move) ([]Score, error) {
-	if err := e.ensureExact(); err != nil {
+	s, err := e.scratch()
+	if err != nil {
 		return nil, err
 	}
-	e.acc.StartJournal()
-	e.inc.StartJournal()
-	defer func() {
-		e.acc.RestoreJournal()
-		e.inc.RestoreJournal()
-	}()
-	return scoreEach(ctx, moves, e.newExactScorer().score)
+	return scoreEach(ctx, moves, s.newExactScorer().score)
 }
 
 // localScorer evaluates moves read-only against the engine's design,
@@ -163,28 +146,12 @@ func (c localScorer) score(m Move) (Score, error) {
 	return s, nil
 }
 
-// ScoreLocal evaluates one move with the exact leakage-percentile
-// delta but the first-order timing surrogate (own-delay change only),
-// skipping cone re-timing. This is the cheap prefilter the batch
-// optimizers rank candidates with; the authoritative yield check stays
-// with Apply + Yield. It reads the engine's state and writes none.
-func (e *Engine) ScoreLocal(m Move) (Score, error) {
-	sc, err := e.beginLocal()
-	if err != nil {
-		return Score{}, err
-	}
-	return sc.score(m)
-}
-
-// ScoreAllLocal is ScoreAll with the local timing surrogate — the
-// batch form of ScoreLocal.
-func (e *Engine) ScoreAllLocal(moves []Move) ([]Score, error) {
-	//lint:ignore ctxflow uncancellable compatibility wrapper; callers needing deadlines use ScoreAllLocalCtx
-	return e.ScoreAllLocalCtx(context.Background(), moves)
-}
-
-// ScoreAllLocalCtx is ScoreAllLocal with cancellation (see
-// ScoreAllCtx).
+// ScoreAllLocalCtx scores independent candidate moves with the exact
+// leakage-percentile delta but the first-order timing surrogate
+// (own-delay change only), skipping cone re-timing. This is the cheap
+// prefilter the batch optimizers rank candidates with; the
+// authoritative yield check stays with Apply + Yield. It reads the
+// engine's state and writes none; ctx is checked as in ScoreAllCtx.
 func (e *Engine) ScoreAllLocalCtx(ctx context.Context, moves []Move) ([]Score, error) {
 	sc, err := e.beginLocal()
 	if err != nil {

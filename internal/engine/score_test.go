@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,9 +119,9 @@ func bitsEqual(a, b []uint64) bool {
 
 // TestScoreMatchesFreshClones is the scoring-contract property test.
 // It interleaves exact and local batch rounds with committed moves,
-// transaction peels and rollbacks, forced cache refreshes, and stale
-// moves that must make the call error, and asserts after every round
-// that (a) every ScoreAllLocal score equals, bit for bit, applying the
+// peels and reverts, forced cache refreshes, and stale moves that must
+// make the call error, and asserts after every round that (a) every
+// ScoreAllLocalCtx score equals, bit for bit, applying the
 // move on a fresh clone of the engine, (b) every ScoreAll score equals
 // serial scoring on one fresh clone, and (c) the engine's assignment,
 // leakage and timing state are bitwise unchanged by the call.
@@ -182,7 +183,7 @@ func TestScoreMatchesFreshClones(t *testing.T) {
 		if exact {
 			got, err = e.ScoreAll(moves)
 		} else {
-			got, err = e.ScoreAllLocal(moves)
+			got, err = e.ScoreAllLocalCtx(context.Background(), moves)
 		}
 		if err != nil {
 			t.Fatalf("round %d: ScoreAll(exact=%v): %v", round, exact, err)
@@ -207,26 +208,28 @@ func TestScoreMatchesFreshClones(t *testing.T) {
 					}
 				}
 			}
-		case 1: // transaction: apply, peel some, then commit or roll back
-			txn := e.Begin()
+		case 1: // apply a few moves, peel some, then revert the rest or keep them
+			var applied []Move
 			for i := 0; i < 2+rng.Intn(6); i++ {
 				if mv, ok := randomMove(d, ids, rng); ok {
-					if err := txn.Apply(mv); err != nil {
+					if err := e.Apply(mv); err != nil {
+						t.Fatal(err)
+					}
+					applied = append(applied, mv)
+				}
+			}
+			for len(applied) > 0 && rng.Intn(2) == 0 {
+				if err := e.Revert(applied[len(applied)-1]); err != nil {
+					t.Fatal(err)
+				}
+				applied = applied[:len(applied)-1]
+			}
+			if rng.Intn(2) == 0 {
+				for i := len(applied) - 1; i >= 0; i-- {
+					if err := e.Revert(applied[i]); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			for txn.Len() > 0 && rng.Intn(2) == 0 {
-				if _, err := txn.PopRevert(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rng.Intn(2) == 0 {
-				if err := txn.Rollback(); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				txn.Commit()
 			}
 		case 2: // forced full refresh
 			if err := e.Refresh(); err != nil {
@@ -236,7 +239,7 @@ func TestScoreMatchesFreshClones(t *testing.T) {
 			// and leave the engine untouched
 			poisoned := append(batch(7), stale())
 			before := stateBits(t, e)
-			if _, err := e.ScoreAllLocal(poisoned); err == nil {
+			if _, err := e.ScoreAllLocalCtx(context.Background(), poisoned); err == nil {
 				t.Fatalf("round %d: stale move scored locally without error", round)
 			}
 			if _, err := e.ScoreAll(poisoned); err == nil {

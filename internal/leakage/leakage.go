@@ -226,8 +226,7 @@ type Accumulator struct {
 	// stride of pgStride floats per gate: E[L_i] under the current
 	// assignment, the exp(|e|²+s²) factor for E[L_i²], and the
 	// deterministic gate-leak contribution. One update touches one
-	// contiguous triple; journal restore and clones walk (or bulk-copy)
-	// one flat slice.
+	// contiguous triple; a clone bulk-copies one flat slice.
 	pg       []float64
 	M, Q     float64
 	v        []float64
@@ -235,9 +234,6 @@ type Accumulator struct {
 	d1, d2   float64
 	gateLeak float64
 	second2  float64 // Σ m_i²·diagExp_i (the exact diagonal)
-
-	journal *accJournal // non-nil while a scoring round records undo state
-	spare   *accJournal // retired journal kept to reuse its allocations
 }
 
 // pgStride is the number of cached floats per gate in Accumulator.pg:
@@ -333,9 +329,6 @@ func (a *Accumulator) addGate(id int, sign float64) {
 // Update refreshes gate id's contribution after its Vth or size
 // changed in the underlying design. O(k²).
 func (a *Accumulator) Update(id int) {
-	if a.journal != nil {
-		a.journal.note(a, id)
-	}
 	a.addGate(id, -1)
 	a.addGate(id, +1)
 }

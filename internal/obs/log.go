@@ -59,8 +59,8 @@ type Logger struct {
 	mu    *sync.Mutex
 	w     io.Writer
 	min   Level
-	attrs string            // pre-rendered " k=v ..." suffix
-	now   func() time.Time  // test hook
+	attrs string           // pre-rendered " k=v ..." suffix
+	now   func() time.Time // test hook
 }
 
 // NewLogger returns a logger writing events at or above min to w.

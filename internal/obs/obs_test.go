@@ -77,13 +77,13 @@ func TestRegistryValues(t *testing.T) {
 	r.Histogram("test_wait_seconds", "wait", []float64{1}).Observe(0.5)
 	vals := r.Values()
 	for key, want := range map[string]float64{
-		"test_panics_total":                    2,
-		"test_depth":                           1.5,
-		`test_finished_total{state="failed"}`:  1,
-		`test_wait_seconds_bucket{le="1"}`:     1,
-		`test_wait_seconds_bucket{le="+Inf"}`:  1,
-		"test_wait_seconds_sum":                0.5,
-		"test_wait_seconds_count":              1,
+		"test_panics_total":                   2,
+		"test_depth":                          1.5,
+		`test_finished_total{state="failed"}`: 1,
+		`test_wait_seconds_bucket{le="1"}`:    1,
+		`test_wait_seconds_bucket{le="+Inf"}`: 1,
+		"test_wait_seconds_sum":               0.5,
+		"test_wait_seconds_count":             1,
 	} {
 		if got := vals[key]; got != want {
 			t.Errorf("Values()[%q] = %g, want %g", key, got, want)

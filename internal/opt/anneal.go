@@ -61,7 +61,7 @@ func AnnealCtx(ctx context.Context, d *core.Design, o Options, cfg AnnealConfig)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &StatResult{}
 
-	e, fam, err := newEvaluator(d, o)
+	e, err := engine.NewFamily(d, engineConfig(o), o.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -183,5 +183,5 @@ func AnnealCtx(ctx context.Context, d *core.Design, o Options, cfg AnnealConfig)
 	if bestState != nil {
 		d.CopyAssignmentFrom(bestState)
 	}
-	return finishStat(ctx, d, fam, o, res, start)
+	return finishStat(ctx, d, e, o, res, start)
 }

@@ -26,7 +26,7 @@ func MinimumDelay(d *core.Design) (float64, error) {
 // MinimumDelayCtx is MinimumDelay with cancellation: the sizing loop
 // checks ctx once per move, so a cancelled job stops within one move.
 func MinimumDelayCtx(ctx context.Context, d *core.Design) (float64, error) {
-	e, err := engine.New(d, engine.Config{TmaxPs: 1})
+	e, err := engine.NewFamily(d, engine.Config{TmaxPs: 1}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -45,7 +45,7 @@ func MinimumDelayCtx(ctx context.Context, d *core.Design) (float64, error) {
 // corner STA — the driver reverts and the policy blacklists the gate
 // when the estimate was wrong. target = 0 sizes for minimum delay.
 // maxMoves 0 means 10×n.
-func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int, o Options, optimizer string) (*Result, error) {
+func sizeToTarget(ctx context.Context, e *engine.Family, target float64, maxMoves int, o Options, optimizer string) (*Result, error) {
 	res := &Result{}
 	d := e.Design()
 	c := d.Circuit
@@ -205,7 +205,7 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	e, fam, err := newEvaluator(d, o)
+	e, err := engine.NewFamily(d, engineConfig(o), o.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +265,8 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 	total.NominalDelayPs = nominal.MaxDelay
 	total.NominalLeakNW = d.TotalLeak()
 	total.Feasible = true
-	if fam != nil {
-		cms, err := fam.CornerScoreboard()
+	if o.Scenario != nil {
+		cms, err := e.CornerScoreboard()
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +278,7 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 
 // detPhaseB drains all corner-feasible leakage-recovery moves as a
 // first-accept search policy.
-func detPhaseB(ctx context.Context, e evaluator, o Options, res *Result) error {
+func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) error {
 	d := e.Design()
 	maxMoves := o.MaxMoves
 	if maxMoves == 0 {
@@ -325,7 +325,7 @@ func detPhaseB(ctx context.Context, e evaluator, o Options, res *Result) error {
 // bestCornerRecoveryMove scans all gates for the highest
 // leakage-saved/slack-consumed phase-B move whose own-delay increase
 // (at the corner) fits in the gate's corner slack.
-func bestCornerRecoveryMove(e evaluator, o Options, slack []float64, blocked map[moveKey]bool) (engine.Move, bool) {
+func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocked map[moveKey]bool) (engine.Move, bool) {
 	d := e.Design()
 	dLc, dVc := e.CornerOffsets()
 	bestScore := 0.0

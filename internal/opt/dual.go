@@ -70,7 +70,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 			return nil, err
 		}
 	}
-	e, fam, err := newEvaluator(d, o)
+	e, err := engine.NewFamily(d, engineConfig(o), o.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -183,8 +183,8 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 	if err != nil {
 		return nil, err
 	}
-	if fam != nil {
-		res.Corners, err = fam.CornerScoreboard()
+	if o.Scenario != nil {
+		res.Corners, err = e.CornerScoreboard()
 		if err != nil {
 			return nil, err
 		}

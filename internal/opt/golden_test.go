@@ -52,7 +52,7 @@ type goldenEntry struct {
 }
 
 type goldenFile struct {
-	Note  string        `json:"note"`
+	Note  string                   `json:"note"`
 	Table map[string][]goldenEntry `json:"tables"`
 }
 
@@ -141,12 +141,12 @@ func computeGolden(t testing.TB, mutate func(*opt.Options)) *goldenFile {
 			}
 		}
 		out.Table["s1"] = append(out.Table["s1"], goldenEntry{
-			Circuit:    name,
-			DetQ99NW:   hexf(pair.DetEval.LeakPctNW),
-			StatQ99NW:  hexf(pair.StatRes.LeakPctNW),
-			StatYield:  hexf(pair.StatRes.YieldAtTmax),
-			StatMoves:  pair.StatRes.Moves,
-			HVTFFs:     hvtFF,
+			Circuit:   name,
+			DetQ99NW:  hexf(pair.DetEval.LeakPctNW),
+			StatQ99NW: hexf(pair.StatRes.LeakPctNW),
+			StatYield: hexf(pair.StatRes.YieldAtTmax),
+			StatMoves: pair.StatRes.Moves,
+			HVTFFs:    hvtFF,
 		})
 	}
 	return out

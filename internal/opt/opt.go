@@ -21,22 +21,24 @@
 // round-based search driver (internal/search): each supplies a
 // candidate generator, a verification predicate, and blacklist /
 // incumbent bookkeeping, while the driver owns the loop — applying
-// candidates through the transactional engine (internal/engine),
-// first-accept or batched with txn-peel repair, with cancellation,
-// move accounting and metrics handled once for every flow.
+// candidates through the evaluation engine (internal/engine),
+// first-accept or batched with peel repair, with cancellation, move
+// accounting and metrics handled once for every flow.
+//
+// Every flow evaluates through an engine.Family built from
+// Options.Scenario; nil means the 1×1 nominal matrix, whose lone corner
+// is the design itself, so the single-corner path and the scenario
+// path are one code path. Options.Scenario != nil adds the per-corner
+// scoreboard (Result.Corners) and skips ISVerify.
 package opt
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scenario"
 	"repro/internal/search"
-	"repro/internal/ssta"
-	"repro/internal/sta"
 )
 
 // Options configures an optimization run.
@@ -63,11 +65,10 @@ type Options struct {
 	// MaxMoves caps the total number of applied moves (0 ⇒ 10×gates).
 	MaxMoves int
 	// Scenario, when non-nil, runs the optimizer against the
-	// corner-indexed evaluation family over this matrix instead of a
-	// single engine: verification sees the min-over-corners timing
+	// corner-indexed evaluation family over this matrix instead of the
+	// 1×1 nominal one: verification sees the min-over-corners timing
 	// yield and the corner-aggregated leakage objective, and Result
-	// carries a per-corner scoreboard. nil keeps the single-corner
-	// evaluation path unchanged.
+	// carries a per-corner scoreboard.
 	Scenario *scenario.Matrix
 	// Progress, when non-nil, receives point-in-time snapshots at
 	// optimizer loop boundaries (at most one per applied batch/move).
@@ -214,47 +215,6 @@ func engineConfig(o Options) engine.Config {
 		LeakPercentile: o.LeakPercentile,
 		CornerSigma:    o.CornerSigma,
 	}
-}
-
-// evaluator is the evaluation surface the optimizers drive: the
-// single-corner engine.Engine or the corner-indexed engine.Family.
-// Every query is already corner-aggregated by the implementation
-// (worst-corner delay/slack/corner-STA, min-over-corners yield, the
-// matrix's leakage aggregation), so the optimizer policies are written
-// once and run unchanged against either.
-type evaluator interface {
-	search.Driver
-	Design() *core.Design
-	CornerOffsets() (dLnm, dVthV float64)
-	Corner(tmaxPs float64) (*sta.Result, error)
-	Timing() (*ssta.Result, error)
-	Yield() (float64, error)
-	DelayQuantile(eta float64) (float64, error)
-	StatisticalSlack() ([]float64, error)
-	LeakQuantile(p float64) (float64, error)
-	TotalLeak() float64
-	ScoreAllLocalCtx(ctx context.Context, moves []engine.Move) ([]engine.Score, error)
-}
-
-// newEvaluator builds the evaluation context for the options: the
-// plain engine when no scenario is requested (the bit-for-bit
-// single-corner path), or a family over the matrix. The returned
-// *engine.Family is nil on the single-engine path; callers use it for
-// family-only queries (exact aggregated objectives, the per-corner
-// scoreboard).
-func newEvaluator(d *core.Design, o Options) (evaluator, *engine.Family, error) {
-	if o.Scenario == nil {
-		e, err := engine.New(d, engineConfig(o))
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, nil, nil
-	}
-	f, err := engine.NewFamily(d, engineConfig(o), o.Scenario)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f, nil
 }
 
 const slackEps = 1e-9

@@ -56,7 +56,7 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 		return nil, err
 	}
 	res := &StatResult{}
-	e, fam, err := newEvaluator(d, o)
+	e, err := engine.NewFamily(d, engineConfig(o), o.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 		if err := statPhaseB(ctx, e, o, res); err != nil {
 			return nil, err
 		}
-		q, err = exactObjective(d, fam, o.LeakPercentile)
+		q, err = e.ExactLeakQuantile(o.LeakPercentile)
 		if err != nil {
 			return nil, err
 		}
@@ -94,21 +94,7 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 	if best != nil {
 		d.CopyAssignmentFrom(best)
 	}
-	return finishStat(ctx, d, fam, o, res, start)
-}
-
-// exactObjective returns the sweep-selection objective: the exact
-// leakage percentile, corner-aggregated when a scenario family is
-// live.
-func exactObjective(d *core.Design, fam *engine.Family, p float64) (float64, error) {
-	if fam == nil {
-		an, err := leakage.Exact(d)
-		if err != nil {
-			return 0, err
-		}
-		return an.Quantile(p), nil
-	}
-	return fam.ExactLeakQuantile(p)
+	return finishStat(ctx, d, e, o, res, start)
 }
 
 // statPhaseA upsizes statistically critical gates until the
@@ -116,7 +102,7 @@ func exactObjective(d *core.Design, fam *engine.Family, p float64) (float64, err
 // first-accept search policy: propose the statistical-critical-path
 // gate with the best local upsize estimate, verify that the delay
 // quantile actually dropped.
-func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res *StatResult) error {
+func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64, res *StatResult) error {
 	if !o.EnableSizing {
 		return nil
 	}
@@ -202,7 +188,7 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 // and candidates are scored read-only against the leakage
 // accumulator, which is what keeps large-circuit optimization in
 // seconds.
-func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) error {
+func statPhaseB(ctx context.Context, e *engine.Family, o Options, res *StatResult) error {
 	d := e.Design()
 	maxMoves := o.MaxMoves
 	if maxMoves == 0 {
@@ -362,7 +348,7 @@ type statCand struct {
 // currency against StatisticalSlack's sigma-adjusted budget; the
 // move's (small) effect on the circuit sigma is caught by the
 // incremental-SSTA batch verification.
-func statCandidates(ctx context.Context, e evaluator, o Options, slack []float64, safety float64, blocked map[moveKey]bool) ([]statCand, error) {
+func statCandidates(ctx context.Context, e *engine.Family, o Options, slack []float64, safety float64, blocked map[moveKey]bool) ([]statCand, error) {
 	d := e.Design()
 	var cands []statCand
 	var moves []engine.Move
@@ -465,11 +451,11 @@ func statCriticalPath(d *core.Design, sr *ssta.Result, kappa float64) []int {
 	return rev
 }
 
-// finishStat fills the end-state metrics. With a live scenario family
-// it also recomputes the per-corner scoreboard with fresh analyses and
-// overrides the headline yield/leakage with the family aggregates
-// (min-over-corners yield, matrix-aggregated leakage percentile); for
-// a 1×1 nominal matrix those equal the nominal values bit-for-bit.
+// finishStat fills the end-state metrics. Under a scenario matrix it
+// also recomputes the per-corner scoreboard with fresh analyses from
+// fam and overrides the headline yield/leakage with the family
+// aggregates (min-over-corners yield, matrix-aggregated leakage
+// percentile); fam is read only then.
 func finishStat(ctx context.Context, d *core.Design, fam *engine.Family, o Options, res *StatResult, start time.Time) (*StatResult, error) {
 	sr, err := ssta.Analyze(d)
 	if err != nil {
@@ -487,7 +473,7 @@ func finishStat(ctx context.Context, d *core.Design, fam *engine.Family, o Optio
 	res.LeakPctNW = an.Quantile(o.LeakPercentile)
 	res.NominalDelayPs = sr.Delay.Mean
 	res.NominalLeakNW = d.TotalLeak()
-	if fam != nil {
+	if o.Scenario != nil {
 		cms, err := fam.CornerScoreboard()
 		if err != nil {
 			return nil, err
@@ -505,7 +491,7 @@ func finishStat(ctx context.Context, d *core.Design, fam *engine.Family, o Optio
 		res.Feasible = minYield >= o.YieldTarget
 		res.LeakPctNW = fam.Aggregate(per)
 	}
-	if iv := o.ISVerify; iv != nil && fam == nil {
+	if iv := o.ISVerify; iv != nil && o.Scenario == nil {
 		seed := iv.Seed
 		if seed == 0 {
 			seed = 1

@@ -1,9 +1,9 @@
 // Package search implements the round-based search driver every
-// optimizer runs on: one loop owning the generate → parallel-score →
-// select → transactional-commit → verify/repair cycle on top of
-// internal/engine, with the optimizer-specific parts — candidate
-// generation, acceptance, stopping, repair bookkeeping — supplied as a
-// Policy of plain closures.
+// optimizer runs on: one loop owning the generate → score → select →
+// commit → verify/repair cycle on top of internal/engine, with the
+// optimizer-specific parts — candidate generation, acceptance,
+// stopping, repair bookkeeping — supplied as a Policy of plain
+// closures.
 //
 // A round is one Propose call. The driver applies the proposed moves
 // through the engine in one of two modes:
@@ -13,12 +13,16 @@
 //     touched. A failing candidate is reverted and reported to
 //     Rejected. This is the classic greedy accept/revert loop (sizing,
 //     corner recovery, annealing, polish).
-//   - Batch: all candidates are applied inside an engine transaction,
-//     then the batch is repaired by peeling — while Verify fails, the
-//     most recent move is popped, reverted and reported to Rejected —
-//     and whatever survives is committed. This is the batched top-k
-//     commit with txn-peel recovery the statistical optimizer's
-//     recovery phase uses, now available to every flow.
+//   - Batch: all candidates are applied, then the batch is repaired
+//     by peeling — while Verify fails, the most recent move is
+//     reverted and reported to Rejected — and whatever survives is
+//     kept. This is the batched top-k commit with peel recovery the
+//     statistical optimizer's recovery phase uses, available to every
+//     flow.
+//
+// Undo is the engine's Revert and nothing else: the driver keeps the
+// moves a round applied and reverts them newest first, whether it is
+// peeling a batch or abandoning a round after an error.
 //
 // The driver owns the cross-cutting concerns the optimizers used to
 // hand-roll: the per-round context check (cancellation lands within
@@ -57,8 +61,8 @@ const (
 	// FirstAccept tries candidates in order and keeps the first that
 	// verifies; the rest of the round is skipped.
 	FirstAccept Mode = iota
-	// Batch applies every candidate in an engine transaction, then
-	// peels from the newest until Verify passes and commits the rest.
+	// Batch applies every candidate, then peels from the newest until
+	// Verify passes and keeps the rest.
 	Batch
 )
 
@@ -126,14 +130,13 @@ type Policy struct {
 	RoundDone func(accepted int, t *Tally) (stop bool, err error)
 }
 
-// Driver is the mutation surface the search loop drives: the single
+// Driver is the mutation surface the search loop drives: a single
 // evaluation engine or a corner-indexed scenario family. Everything
 // else a policy needs (yield, quantiles, scores) it closes over
 // itself, already corner-aggregated by the driver it captured.
 type Driver interface {
 	Apply(m engine.Move) error
 	Revert(m engine.Move) error
-	BeginTxn() engine.Batch
 }
 
 // Run drives the search loop until Propose returns nil, RoundDone
@@ -189,22 +192,23 @@ func Run(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 	}
 }
 
-// runBatch applies every candidate in a transaction, peels from the
-// newest until Verify passes, and commits the survivors. A failure
-// before the keep decision rolls the whole transaction back; a failing
-// Accepted hook still counts and commits every survivor.
+// runBatch applies every candidate, peels from the newest until Verify
+// passes, and keeps the survivors. A failure before the keep decision
+// reverts every applied move; a failing Accepted hook still counts and
+// keeps every survivor.
 func runBatch(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.Counter) (int, error) {
-	txn := e.BeginTxn()
+	applied := make([]engine.Move, 0, len(moves))
 	abort := func(err error) (int, error) {
-		return 0, errors.Join(err, txn.Rollback())
+		return 0, errors.Join(err, revertNewestFirst(e, applied))
 	}
 	for _, mv := range moves {
-		if err := txn.Apply(mv); err != nil {
+		if err := e.Apply(mv); err != nil {
 			return abort(err)
 		}
+		applied = append(applied, mv)
 		proposed.Inc()
 	}
-	for txn.Len() > 0 {
+	for len(applied) > 0 {
 		ok, err := p.Verify()
 		if err != nil {
 			return abort(err)
@@ -212,25 +216,35 @@ func runBatch(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.C
 		if ok {
 			break
 		}
-		mv, err := txn.PopRevert()
-		if err != nil {
+		mv := applied[len(applied)-1]
+		if err := e.Revert(mv); err != nil {
 			return abort(err)
 		}
+		applied = applied[:len(applied)-1]
 		t.Peeled++
 		if p.Rejected != nil {
 			p.Rejected(mv)
 		}
 	}
-	kept := txn.Moves()
 	var err error
-	for _, mv := range kept {
+	for _, mv := range applied {
 		t.count(mv)
 		if p.Accepted != nil && err == nil {
 			err = p.Accepted(mv, t)
 		}
 	}
-	txn.Commit()
-	return len(kept), err
+	return len(applied), err
+}
+
+// revertNewestFirst undoes moves in reverse order of application,
+// stopping at the first failure.
+func revertNewestFirst(e Driver, moves []engine.Move) error {
+	for i := len(moves) - 1; i >= 0; i-- {
+		if err := e.Revert(moves[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runFirstAccept applies candidates in order until one verifies. A

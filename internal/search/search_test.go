@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -280,7 +281,7 @@ func TestPipelinedBatchPeelToEmpty(t *testing.T) {
 	})
 }
 
-// TestFailedStepLeavesDesignMatchingTally fails a hook mid-round and
+// TestFailedStepLeavesDesignMatchingTally fails a step mid-round and
 // checks that the design agrees with the returned Tally: a failure
 // before the keep decision puts the round's moves back, and a failing
 // Accepted hook still counts every move the round keeps.
@@ -289,8 +290,10 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		mode     Mode
+		round    func(moves []engine.Move) []engine.Move // nil: the moves as drawn
 		verify   func(call int) (bool, error)
 		accepted func(engine.Move, *Tally) error
+		wantErr  string // substring of the returned error
 		want     Tally
 	}{
 		{
@@ -303,7 +306,8 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 				}
 				return false, boom
 			},
-			want: Tally{Rounds: 1},
+			wantErr: "boom",
+			want:    Tally{Rounds: 1},
 		},
 		{
 			// One move peels, then the check on the remaining two fails.
@@ -315,13 +319,25 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 				}
 				return false, boom
 			},
-			want: Tally{Rounds: 1, Peeled: 1},
+			wantErr: "boom",
+			want:    Tally{Rounds: 1, Peeled: 1},
+		},
+		{
+			// The third move repeats the first, so its Apply fails the
+			// precondition after two moves are on the design.
+			name:    "batch apply error",
+			mode:    Batch,
+			round:   func(moves []engine.Move) []engine.Move { return []engine.Move{moves[0], moves[1], moves[0]} },
+			verify:  func(int) (bool, error) { return true, nil },
+			wantErr: "move expected",
+			want:    Tally{Rounds: 1},
 		},
 		{
 			name:     "batch accepted error",
 			mode:     Batch,
 			verify:   func(int) (bool, error) { return true, nil },
 			accepted: func(engine.Move, *Tally) error { return boom },
+			wantErr:  "boom",
 			want:     Tally{Moves: 3, SizeUps: 3, Rounds: 1},
 		},
 	} {
@@ -332,6 +348,10 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 			for i, mv := range moves {
 				orig[i] = d.SizeIndex(mv.Gate())
 			}
+			round := moves
+			if tc.round != nil {
+				round = tc.round(moves)
+			}
 			calls := 0
 			tally, err := Run(context.Background(), e, Policy{
 				Optimizer: "test-failed-step",
@@ -339,7 +359,7 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 					if tl.Rounds > 0 {
 						return nil, nil
 					}
-					return &Round{Moves: moves, Mode: tc.mode}, nil
+					return &Round{Moves: round, Mode: tc.mode}, nil
 				},
 				Verify: func() (bool, error) {
 					calls++
@@ -347,8 +367,8 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 				},
 				Accepted: tc.accepted,
 			})
-			if !errors.Is(err, boom) {
-				t.Fatalf("err = %v, want boom", err)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
 			}
 			if *tally != tc.want {
 				t.Fatalf("tally = %+v, want %+v", *tally, tc.want)

@@ -30,8 +30,8 @@ var (
 //
 // The arrival state lives structure-of-arrays in Result (three flat
 // float slices), and Update folds each node's max chain in place
-// through per-timer scratch forms, so a steady-state retiming makes
-// no allocations beyond journal growth.
+// through per-timer scratch forms, so a steady-state retiming
+// allocates only the refolded circuit-delay form.
 type Incremental struct {
 	d        *core.Design
 	order    []int
@@ -52,9 +52,6 @@ type Incremental struct {
 	// (the only loads a move can perturb) before re-timing.
 	loadPs []float64
 	loadOK []bool
-
-	journal *incJournal // non-nil while a scoring round records undo state
-	spare   *incJournal // retired journal kept to reuse its allocations
 }
 
 // NewIncremental runs one full analysis and wraps it for updates.
@@ -194,9 +191,6 @@ func (inc *Incremental) Update(changed ...int) int {
 		if canonicalEqual(*next, inc.res.Arrival(id)) {
 			continue // cone converged: nothing downstream can change
 		}
-		if inc.journal != nil {
-			inc.journal.note(inc, id)
-		}
 		inc.res.setArrival(id, *next)
 		if inc.endpoint[id] {
 			foldStale = true
@@ -224,8 +218,7 @@ func (inc *Incremental) Update(changed ...int) int {
 // refold recomputes the circuit-delay form from the endpoint
 // arrivals. The fold runs in place through the scratch accumulator;
 // only the final Delay value is freshly allocated, preserving the
-// invariant that Result.Delay is safe to hold by value across updates
-// (the journal's delay snapshot depends on it).
+// invariant that Result.Delay is safe to hold by value across updates.
 func (inc *Incremental) refold() {
 	d := inc.d
 	setup := d.Lib.P.DffSetupPs

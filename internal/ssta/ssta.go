@@ -13,9 +13,8 @@ import (
 //
 // Arrival forms are stored structure-of-arrays — three parallel flat
 // float slices indexed by node ID instead of a []Canonical — so the
-// incremental timer's journal restore walks contiguous memory and a
-// clone is three bulk copies. Use
-// Arrival(id) for the canonical view of one node.
+// incremental timer updates rows in place and a clone is three bulk
+// copies. Use Arrival(id) for the canonical view of one node.
 type Result struct {
 	// Delay is the canonical circuit delay: the statistical max over
 	// the primary-output arrivals. Its Sens slice is freshly allocated
