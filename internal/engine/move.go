@@ -35,7 +35,7 @@ func (k Kind) String() string {
 // the assignment — the property tests rely on this.
 //
 // Moves mutate only the raw design; use Engine.Apply/Engine.Revert (or
-// a Txn) to keep the engine's cached timing and leakage state
+// the Family's) to keep the engine's cached timing and leakage state
 // consistent.
 type Move interface {
 	// Gate returns the node ID the move touches.

@@ -38,10 +38,10 @@ type StatResult struct {
 // reaches the target η. Phase B greedily applies the leakage-recovery
 // move with the best reduction of the objective leakage percentile per
 // unit of statistical timing metric consumed, batch-accepting against
-// per-gate statistical slacks inside an engine transaction and
-// verifying each batch with the incrementally maintained SSTA (peeling
-// back just enough moves to restore feasibility). One engine carries
-// the timing/leakage caches across the whole margin sweep.
+// per-gate statistical slacks and verifying each batch with the
+// incrementally maintained SSTA (peeling back just enough moves to
+// restore feasibility). One engine family carries the timing/leakage
+// caches across the whole margin sweep.
 func Statistical(d *core.Design, o Options) (*StatResult, error) {
 	//lint:ignore ctxflow uncancellable compatibility wrapper; callers needing deadlines use StatisticalCtx
 	return StatisticalCtx(context.Background(), d, o)
@@ -182,8 +182,8 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 }
 
 // statPhaseB drains yield-feasible leakage-recovery moves, batch-
-// accepting against per-gate statistical slacks inside an engine
-// transaction with incremental-SSTA rollback. Timing is maintained
+// accepting against per-gate statistical slacks and peeling a batch
+// back until the incremental SSTA verifies it. Timing is maintained
 // incrementally — only the fanout cones of moved gates are re-timed —
 // and candidates are scored read-only against the leakage
 // accumulator, which is what keeps large-circuit optimization in
