@@ -4,7 +4,6 @@
 # so new goroutines are covered by default).
 
 GO ?= go
-GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
 .PHONY: ci lint vet gofmt statleaklint lint-sarif build test race scenario chaos cluster isle bench bench-json experiments-output fuzz daemon
@@ -25,7 +24,7 @@ vet:
 # fixtures (testdata/, deliberately hand-laid-out) and the benchmark's
 # build tree (.bench_build/).
 gofmt:
-	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 $(GOFMT) -l); \
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 statleaklint:
