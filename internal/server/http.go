@@ -83,7 +83,7 @@ func Handler(m *Manager) http.Handler {
 			writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
-		job, err := m.Submit(req)
+		_, st, err := m.submit(req)
 		switch {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown):
 			writeErr(w, http.StatusServiceUnavailable, err.Error())
@@ -92,7 +92,7 @@ func Handler(m *Manager) http.Handler {
 			writeErr(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusAccepted, job.status())
+		writeJSON(w, http.StatusAccepted, st)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

@@ -150,20 +150,29 @@ func NewManager(cfg Config) *Manager {
 // resubmission: the existing job is returned in whatever state it has
 // reached, and nothing is enqueued.
 func (m *Manager) Submit(req Request) (*Job, error) {
+	job, _, err := m.submit(req)
+	return job, err
+}
+
+// submit is Submit that also returns the job's status as of the
+// submission: a new job's is snapshotted before it is enqueued, so it
+// reads StatePending however fast a worker picks the job up; a
+// deduplicated resubmission's is the existing job's live state.
+func (m *Manager) submit(req Request) (*Job, Status, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, ErrShuttingDown
+		return nil, Status{}, ErrShuttingDown
 	}
 	if req.IdempotencyKey != "" {
 		if id, ok := m.idem[req.IdempotencyKey]; ok {
 			job := m.jobs[id]
 			m.mu.Unlock()
 			m.log.Info("job resubmission deduplicated", "id", id, "key", req.IdempotencyKey)
-			return job, nil
+			return job, job.status(), nil
 		}
 	}
 	m.nextID++
@@ -173,11 +182,12 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		Created: time.Now(),
 		state:   StatePending,
 	}
+	st := job.status() // before the enqueue: no worker has seen the job
 	select {
 	case m.queue <- job:
 	default:
 		m.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, Status{}, ErrQueueFull
 	}
 	m.jobs[job.ID] = job
 	if req.IdempotencyKey != "" {
@@ -187,7 +197,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	metJobsSubmitted.Inc()
 	setQueueDepth(len(m.queue))
 	m.log.Info("job submitted", "id", job.ID, "optimizer", req.optimizer(), "circuit", req.Circuit)
-	return job, nil
+	return job, st, nil
 }
 
 // Get returns the job by ID.

@@ -414,6 +414,42 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 	}
 }
 
+// TestSubmitSnapshotIsPending pins the submit response's race fix: the
+// status submit returns is taken before the job is enqueued, so it
+// still reads pending after a worker has run the job to completion. A
+// deduplicated resubmission reports the existing job's live state.
+func TestSubmitSnapshotIsPending(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueDepth: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = m.Shutdown(ctx)
+	}()
+	req := Request{Netlist: bench.C17, Name: "c17", Optimizer: "deterministic", IdempotencyKey: "snap"}
+	job, st, err := m.submit(req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for job.status().State != StateDone {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %+v", job.status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.ID != job.ID || st.State != StatePending || st.Started != nil || st.Attempt != 0 {
+		t.Fatalf("submit snapshot %+v, want the pending job %s", st, job.ID)
+	}
+
+	again, st2, err := m.submit(req)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if again != job || st2.State != StateDone {
+		t.Fatalf("resubmission: job %s state %q, want the existing job %s in state done", again.ID, st2.State, job.ID)
+	}
+}
+
 // TestSequentialIDs pins the deterministic job-ID scheme.
 func TestSequentialIDs(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueDepth: 4})
