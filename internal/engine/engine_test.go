@@ -334,7 +334,7 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchLocal, err := e.ScoreAllLocalCtx(context.Background(), moves)
+	batchLocal, err := e.ScoreAllLocalCtx(context.Background(), moves, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 			t.Fatalf("move %d (%v gate %d): batch %+v vs single %+v",
 				i, mv.Kind(), mv.Gate(), batch[i], ser)
 		}
-		serLocals, err := e.ScoreAllLocalCtx(context.Background(), []Move{mv})
+		serLocals, err := e.ScoreAllLocalCtx(context.Background(), []Move{mv}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

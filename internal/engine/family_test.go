@@ -220,12 +220,12 @@ func TestFamilyAggregation(t *testing.T) {
 	}
 
 	// Slack aggregation: elementwise min over corners.
-	slack, err := f.StatisticalSlack()
+	slack, err := f.StatisticalSlack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range f.Engines() {
-		s, err := e.StatisticalSlack()
+		s, err := e.StatisticalSlack(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 		moves = append(moves, m)
 	}
 
-	got, err := f.ScoreAllLocalCtx(context.Background(), moves)
+	got, err := f.ScoreAllLocalCtx(context.Background(), moves, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 
 	per := make([][]Score, f.NumCorners())
 	for i, e := range f.Engines() {
-		per[i], err = e.ScoreAllLocalCtx(context.Background(), moves)
+		per[i], err = e.ScoreAllLocalCtx(context.Background(), moves, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

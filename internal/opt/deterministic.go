@@ -285,7 +285,7 @@ func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) er
 		maxMoves = 10 * d.Circuit.NumGates()
 	}
 	base := res.Moves // accumulated across the margin sweep
-	blocked := make(map[moveKey]bool)
+	blocked := newMoveSet(d)
 	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "deterministic",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
@@ -312,7 +312,7 @@ func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) er
 			}
 			return r2.MaxDelay <= o.TmaxPs+slackEps, nil
 		},
-		Rejected: func(mv engine.Move) { blocked[keyOf(mv)] = true },
+		Rejected: func(mv engine.Move) { blocked.add(mv) },
 		Accepted: func(mv engine.Move, t *search.Tally) error {
 			o.report(Progress{Optimizer: "deterministic", Phase: "recovery", Moves: base + t.Moves, Round: t.Rounds, LeakQNW: e.Design().TotalLeak()})
 			return nil
@@ -325,7 +325,7 @@ func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) er
 // bestCornerRecoveryMove scans all gates for the highest
 // leakage-saved/slack-consumed phase-B move whose own-delay increase
 // (at the corner) fits in the gate's corner slack.
-func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocked map[moveKey]bool) (engine.Move, bool) {
+func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocked moveSet) (engine.Move, bool) {
 	d := e.Design()
 	dLc, dVc := e.CornerOffsets()
 	bestScore := 0.0
@@ -341,7 +341,7 @@ func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocke
 		consider := func(mv engine.Move, dNew, lNew float64) {
 			dd := dNew - dNow
 			dl := lNow - lNew
-			if dl <= 0 || blocked[keyOf(mv)] {
+			if dl <= 0 || blocked.has(mv) {
 				return
 			}
 			if dd > slack[id]-slackEps {

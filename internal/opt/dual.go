@@ -88,7 +88,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 	if maxMoves == 0 {
 		maxMoves = 10 * d.Circuit.NumGates()
 	}
-	blacklist := make(map[moveKey]bool)
+	blacklist := newMoveSet(d)
 	var q0, lq float64 // pre-move delay quantile / post-move leakage quantile
 	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "dual",
@@ -116,7 +116,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 				dNow := d.GateDelay(id)
 				lNow := d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])
 				consider := func(mv engine.Move, dNew, lNew float64) {
-					if blacklist[keyOf(mv)] {
+					if blacklist.has(mv) {
 						return
 					}
 					gain := dNow - dNew
@@ -163,7 +163,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 			}
 			return lq <= budgetNW && q1 < q0-slackEps, nil
 		},
-		Rejected: func(mv engine.Move) { blacklist[keyOf(mv)] = true },
+		Rejected: func(mv engine.Move) { blacklist.add(mv) },
 		Accepted: func(mv engine.Move, t *search.Tally) error {
 			o.report(Progress{Optimizer: "dual", Phase: "speedup", Moves: t.Moves, Round: t.Rounds, LeakQNW: lq})
 			return nil

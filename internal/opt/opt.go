@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scenario"
 	"repro/internal/search"
@@ -185,16 +186,18 @@ type Result struct {
 	Runtime time.Duration
 }
 
-// moveKey identifies a (gate, move family) pair for blacklisting.
-// Within one optimizer each family runs in a single direction (e.g.
-// phase B only swaps LVT→HVT, the dual only HVT→LVT), so the engine
-// kind disambiguates fully.
-type moveKey struct {
-	id   int
-	kind engine.Kind
-}
+// moveSet is a dense set of (gate, move family) pairs, the blacklist
+// the optimizers keep. Within one optimizer each family runs in a
+// single direction (e.g. phase B only swaps LVT→HVT, the dual only
+// HVT→LVT), so the engine kind disambiguates fully.
+type moveSet []bool
 
-func keyOf(m engine.Move) moveKey { return moveKey{m.Gate(), m.Kind()} }
+const numKinds = int(engine.KindDownsize) + 1
+
+func newMoveSet(d *core.Design) moveSet { return make(moveSet, d.Circuit.NumNodes()*numKinds) }
+
+func (s moveSet) add(m engine.Move)      { s[m.Gate()*numKinds+int(m.Kind())] = true }
+func (s moveSet) has(m engine.Move) bool { return s[m.Gate()*numKinds+int(m.Kind())] }
 
 // addTally folds a search run's account into a Result. Phases that
 // share one Result across several Run calls (the margin sweep) pass
