@@ -87,9 +87,10 @@ bench:
 
 # bench-json runs the same sweep and renders the `go test -bench`
 # output as machine-readable JSON (cmd/benchjson), the artifact CI
-# uploads for regression tracking. BENCH_OUT names the trajectory file
-# for the current PR (BENCH_OUT=foo.json bench-json to redirect).
-BENCH_OUT ?= BENCH_10.json
+# uploads for regression tracking. BENCH_OUT defaults to a gitignored
+# scratch file; name a BENCH_*.json trajectory file explicitly
+# (BENCH_OUT=BENCH_11.json bench-json) to record one.
+BENCH_OUT ?= bench-out.json
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
