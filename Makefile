@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet gofmt statleaklint lint-sarif build test race scenario chaos cluster isle bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet gofmt statleaklint lint-sarif build test race scenario chaos isle bench bench-json experiments-output fuzz daemon
 
-ci: lint build test race scenario chaos cluster isle fuzz
+ci: lint build test race scenario chaos isle fuzz
 
 # lint = go vet, the gofmt check, and the repository's own analyzer
 # suite. statleaklint enforces the engine's determinism/move-discipline/
@@ -60,20 +60,11 @@ scenario:
 chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/server
 
-# cluster runs the sharded-coordinator suite under the race detector:
-# the consistent-hash ring contracts (balance, ~1/N movement on a
-# join), the registry's death/revival edges, and the 3-replica
-# integration tests — routing, idempotent resubmission, proxied
-# cancel, and the kill-a-replica failover path asserting exactly-once
-# completion (see DESIGN.md §11).
-cluster:
-	$(GO) test -race -run 'TestCluster|TestRing|TestRegistry|TestSteal|TestStatus|TestRequest|TestCanonical|TestOutcome' ./internal/cluster
-
 # isle runs the importance-sampling suite under the race detector:
 # per-sample weight determinism across worker counts, the zero-shift
 # bitwise reduction to plain sampling, the plain-vs-IS agreement
 # property on ISCAS fixtures, the adaptive-budget loop, and the
-# seed-stream aliasing regression (see DESIGN.md §13).
+# seed-stream aliasing regression (see DESIGN.md §12).
 isle:
 	$(GO) test -race -run 'TestIS|TestZeroShift|TestSeedStream|TestTimingIS|TestAdaptiveTimingIS|TestStreamSeed|TestSplitMix' ./internal/montecarlo ./internal/yield ./internal/stats
 

@@ -1,6 +1,6 @@
-// Command statleakctl is the operator CLI for statleakd — a single
-// replica or a cluster coordinator; both speak the same /v1/jobs
-// surface, so every subcommand works against either.
+// Command statleakctl is the operator CLI for one statleakd daemon: it
+// submits, watches, lists and cancels jobs over the daemon's /v1/jobs
+// API and prints its /healthz payload.
 //
 // Usage:
 //
@@ -14,14 +14,13 @@
 //	result   fetch a done job's outcome JSON
 //	cancel   cancel a job
 //	jobs     list jobs (?state/?limit/?offset filters)
-//	cluster  print the coordinator's ring + replica health (coordinator only)
 //	health   print the daemon's /healthz payload
 //
 // Examples:
 //
-//	statleakctl -addr http://localhost:8090 submit -circuit s432 -key nightly-s432 -watch
-//	statleakctl -addr http://localhost:8090 jobs -state running -limit 10
-//	statleakctl -addr http://localhost:8090 cluster
+//	statleakctl -addr http://localhost:8080 submit -circuit s432 -key nightly-s432 -watch
+//	statleakctl -addr http://localhost:8080 jobs -state running -limit 10
+//	statleakctl -addr http://localhost:8080 result job-000001
 package main
 
 import (
@@ -43,7 +42,7 @@ const maxBody = 16 << 20
 
 func main() {
 	var (
-		addr    = flag.String("addr", "http://localhost:8080", "statleakd (or coordinator) base URL")
+		addr    = flag.String("addr", "http://localhost:8080", "statleakd base URL")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 	)
 	flag.Usage = usage
@@ -72,8 +71,6 @@ func main() {
 		err = cmdCancel(ctx, cl, args)
 	case "jobs":
 		err = cmdJobs(ctx, cl, args)
-	case "cluster":
-		err = cl.getJSON(ctx, "/v1/cluster")
 	case "health":
 		err = cl.getJSON(ctx, "/healthz")
 	default:
@@ -98,7 +95,6 @@ commands:
   result   JOB-ID
   cancel   JOB-ID
   jobs     [-state pending|running|done|failed|cancelled] [-limit N] [-offset N]
-  cluster
   health
 `)
 	flag.PrintDefaults()
@@ -252,7 +248,7 @@ func cmdJobs(ctx context.Context, cl *client, args []string) error {
 	return cl.getJSON(ctx, path)
 }
 
-// client is a minimal JSON client over the daemon/coordinator API.
+// client is a minimal JSON client over the daemon's API.
 type client struct {
 	base string
 	hc   *http.Client
@@ -305,8 +301,8 @@ func (cl *client) do(ctx context.Context, method, path string, body, out any) er
 }
 
 // getJSON fetches path and pretty-prints the response body as-is —
-// used for payloads the CLI has no struct for (cluster info, health,
-// outcomes, job listings).
+// used for payloads the CLI has no struct for (health, outcomes, job
+// listings).
 func (cl *client) getJSON(ctx context.Context, path string) error {
 	var v any
 	if err := cl.do(ctx, http.MethodGet, path, nil, &v); err != nil {

@@ -9,19 +9,8 @@
 //
 // Endpoints: POST/GET/DELETE /v1/jobs[/{id}[/result]], /metrics,
 // /healthz, /debug/pprof/. See internal/server and the README
-// quickstart for a curl walkthrough.
-//
-// Coordinator mode turns N such replicas into one logical service:
-//
-//	statleakd -coordinator -addr :8090 \
-//	          -replicas http://10.0.0.1:8080,http://10.0.0.2:8080
-//
-// The coordinator speaks the same /v1/jobs API, shards submissions
-// over the replicas by consistent hashing on the canonical request
-// hash, probes replica health, re-dispatches a dead replica's
-// in-flight jobs, and steals work away from hot shards. See
-// internal/cluster and DESIGN.md §11; cmd/statleakctl drives either a
-// replica or a coordinator.
+// quickstart for a curl walkthrough; cmd/statleakctl is the
+// command-line client.
 //
 // On SIGINT/SIGTERM the daemon stops accepting jobs, drains queued
 // and running work for -drain-timeout, then force-cancels whatever is
@@ -36,11 +25,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -55,14 +42,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", time.Hour, "per-attempt wall-clock cap and default (0 disables; requests may ask for less via timeout_sec)")
 		retryBase    = flag.Duration("retry-base", time.Second, "first retry backoff for jobs submitted with max_retries (doubles per attempt)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
-
-		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator over -replicas instead of executing jobs")
-		replicas    = flag.String("replicas", "", "comma-separated statleakd base URLs the coordinator shards over")
-		vnodes      = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring")
-		probeEvery  = flag.Duration("probe-interval", 2*time.Second, "replica health-probe period")
-		probeWait   = flag.Duration("probe-timeout", time.Second, "one probe's round-trip budget")
-		failAfter   = flag.Int("fail-after", 2, "consecutive probe failures before a replica is declared dead")
-		stealAt     = flag.Int("steal-threshold", 4, "ring owner's queue depth at which new jobs divert to the least-loaded replica (-1 disables)")
 	)
 	flag.Parse()
 
@@ -74,19 +53,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	if *coordinator {
-		runCoordinator(ctx, log, *addr, cluster.Config{
-			Replicas:       strings.Split(*replicas, ","),
-			VNodes:         *vnodes,
-			ProbeInterval:  *probeEvery,
-			ProbeTimeout:   *probeWait,
-			FailAfter:      *failAfter,
-			StealThreshold: *stealAt,
-			Log:            log,
-		}, *drainTimeout)
-		return
-	}
 
 	mgr := server.NewManager(server.Config{
 		Workers:        *workers,
@@ -124,43 +90,6 @@ func main() {
 	} else {
 		log.Info("drained cleanly")
 	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-}
-
-// runCoordinator serves the cluster front end until ctx is signalled.
-// Replicas keep executing their jobs through a coordinator restart;
-// the tracked table is rebuilt by idempotent resubmission from
-// clients, so a coordinator stop only needs to quiesce its own HTTP
-// server and prober.
-func runCoordinator(ctx context.Context, log *obs.Logger, addr string, cfg cluster.Config, drainTimeout time.Duration) {
-	coord, err := cluster.New(ctx, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           cluster.Handler(coord),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Info("statleakd coordinator listening", "addr", addr)
-
-	select {
-	case err := <-errc:
-		coord.Stop()
-		fatal(err)
-	case <-ctx.Done():
-	}
-	log.Info("coordinator shutdown")
-	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Warn("http shutdown incomplete", "err", err.Error())
-	}
-	coord.Stop()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

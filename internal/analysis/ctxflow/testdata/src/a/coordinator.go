@@ -1,7 +1,6 @@
 // Fixture: a coordinator-shaped library that conjures its own root
-// context for the prober — the exact detachment bug the cluster
-// package must not have: the daemon's signal context can no longer
-// stop the loop.
+// context for its prober — the detachment bug this analyzer exists
+// for: the caller's signal context can no longer stop the loop.
 package a
 
 import (

@@ -1,6 +1,6 @@
-// Fixture: the cluster coordinator's cancellation shape — the root
-// context flows in from the caller (the daemon's signal context), the
-// prober derives a cancellable child, and Stop cancels it then joins.
+// Fixture: a coordinator's cancellation shape — the root context
+// flows in from the caller (a daemon's signal context), the prober
+// derives a cancellable child, and stop cancels it then joins.
 // No Background()/TODO() anywhere in the library path.
 package clean
 

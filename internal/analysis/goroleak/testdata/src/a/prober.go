@@ -1,6 +1,6 @@
-// Fixture: broken prober/stealer shapes — the ticker loop without a
-// ctx case and the unjoinable probe fan-out, i.e. the bugs the
-// coordinator's real prober must not regress into.
+// Fixture: broken prober shapes — a probe loop with no ctx case and
+// no channel, spawned inline and as a named method, i.e. the leaks a
+// long-lived background poller can fall into.
 package a
 
 import (

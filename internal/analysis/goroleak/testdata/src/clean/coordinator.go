@@ -1,8 +1,9 @@
-// Fixture: the cluster coordinator's goroutine patterns — a prober
-// loop launched as a named method goroutine (ticker + ctx.Done select,
-// done channel closed on exit so Stop can join), and a stealer-style
-// probe fan-out joined through a WaitGroup. These are the shapes
-// internal/cluster uses; the analyzer must keep accepting them.
+// Fixture: a coordinator's goroutine patterns — a prober loop
+// launched as a named method goroutine (ticker + ctx.Done select,
+// done channel closed on exit so stop can join), and a stealer-style
+// probe fan-out joined through a WaitGroup. These are standalone
+// shapes of a long-lived background service; the analyzer must keep
+// accepting them.
 package clean
 
 import (

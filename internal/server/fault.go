@@ -198,7 +198,7 @@ func (m *Manager) scheduleRetry(job *Job, attempt int, lastErr string) {
 		select {
 		case m.queue <- job:
 			m.mu.Unlock()
-			setQueueDepth(len(m.queue))
+			metQueueDepth.Set(float64(len(m.queue)))
 			m.log.Info("job re-enqueued for retry", "id", job.ID, "attempt", attempt+1, "backoff", delay)
 		default:
 			m.mu.Unlock()

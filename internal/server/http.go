@@ -16,9 +16,9 @@ import (
 const maxBodyBytes = 16 << 20
 
 // JobList is the GET /v1/jobs response envelope: one page of statuses
-// plus the pagination frame and the live queue depth, so pollers (the
-// cluster coordinator's prober, statleakctl) learn backlog pressure
-// without a second request and never need the full job list.
+// plus the pagination frame and the live queue depth, so a poller such
+// as statleakctl learns backlog pressure without a second request and
+// never needs the full job list.
 type JobList struct {
 	Jobs       []Status `json:"jobs"`
 	Total      int      `json:"total"`
@@ -27,10 +27,9 @@ type JobList struct {
 	QueueDepth int      `json:"queue_depth"`
 }
 
-// ParseListFilter reads the state=/limit=/offset= query parameters
-// of a job-listing request (shared with the cluster coordinator,
-// which speaks the same listing surface).
-func ParseListFilter(r *http.Request) (ListFilter, error) {
+// parseListFilter reads the state=/limit=/offset= query parameters
+// of a job-listing request.
+func parseListFilter(r *http.Request) (ListFilter, error) {
 	var f ListFilter
 	q := r.URL.Query()
 	if s := q.Get("state"); s != "" {
@@ -96,7 +95,7 @@ func Handler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		f, err := ParseListFilter(r)
+		f, err := parseListFilter(r)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err.Error())
 			return
@@ -157,7 +156,7 @@ func Handler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		setQueueDepth(len(m.queue))
+		metQueueDepth.Set(float64(len(m.queue)))
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := obs.Default.WritePrometheus(w); err != nil {
 			m.log.Warn("metrics write failed", "err", err.Error())
@@ -173,11 +172,10 @@ func Handler(m *Manager) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"status":      "ok",
-			"jobs":        live,
-			"queued":      len(m.queue),
-			"queue_depth": len(m.queue),
-			"workers":     m.cfg.Workers,
+			"status":  "ok",
+			"jobs":    live,
+			"queued":  len(m.queue),
+			"workers": m.cfg.Workers,
 		})
 	})
 

@@ -8,9 +8,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -118,9 +115,9 @@ type Request struct {
 	// key the manager already knows returns the existing job (whatever
 	// its state) instead of enqueuing a duplicate run. The mapping
 	// lives exactly as long as the job itself — once the janitor
-	// evicts the job, the key is free again. Cluster coordinators rely
-	// on this to make failover re-dispatch exactly-once: re-submitting
-	// a key to a replica that already ran it is a lookup, not a run.
+	// evicts the job, the key is free again. A client retrying a
+	// submission after a lost response therefore gets the job it
+	// already started, not a second run.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
@@ -183,26 +180,6 @@ func (r *Request) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// CanonicalKey is the canonical netlist+options hash of the request:
-// a hex digest over the JSON form with the delivery-only fields
-// (idempotency key) cleared, so two users submitting the same circuit
-// with the same knobs produce the same key. Cluster coordinators use
-// it as the consistent-hash routing key — identical submissions
-// co-locate on one replica — and as the derived idempotency key when
-// the client supplied none.
-func (r *Request) CanonicalKey() string {
-	c := *r
-	c.IdempotencyKey = ""
-	b, err := json.Marshal(&c)
-	if err != nil {
-		// A Request is plain data (strings, numbers, a validated
-		// scenario spec); Marshal cannot fail on it.
-		panic("server: canonical key marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16])
 }
 
 func (r *Request) preset() string {
@@ -347,16 +324,9 @@ type Status struct {
 	Attempt  int      `json:"attempt,omitempty"`
 	Progress Snapshot `json:"progress"`
 	Error    string   `json:"error,omitempty"`
-	// IdempotencyKey echoes the request's dedup key so resubmitters
-	// and coordinators can correlate a status with their key space.
+	// IdempotencyKey echoes the request's dedup key so a resubmitter
+	// can match a status to the key it sent.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
-
-	// Replica and RemoteID are the coordinator-forwarding fields: a
-	// replica never sets them, a cluster coordinator proxying this
-	// status fills in which replica owns the job and the job's ID in
-	// that replica's namespace (Status.ID is then the coordinator's).
-	Replica  string `json:"replica,omitempty"`
-	RemoteID string `json:"remote_id,omitempty"`
 }
 
 // status snapshots the job under its lock.

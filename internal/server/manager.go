@@ -22,12 +22,6 @@ var (
 		"jobs reaching a terminal state", "state")
 	metQueueDepth = obs.Default.Gauge("statleak_job_queue_depth",
 		"jobs waiting for a worker")
-	// metQueueDepthShort mirrors metQueueDepth under the shorter name
-	// the cluster dashboards key on; both are refreshed together via
-	// setQueueDepth so either name can drive alerts and the stealer's
-	// operator view.
-	metQueueDepthShort = obs.Default.Gauge("statleak_queue_depth",
-		"jobs waiting for a worker (alias of statleak_job_queue_depth)")
 	metJobsRunning = obs.Default.Gauge("statleak_jobs_running",
 		"jobs currently executing")
 	metJobSeconds = obs.Default.Histogram("statleak_job_run_seconds",
@@ -37,12 +31,6 @@ var (
 	metJobRetries = obs.Default.Counter("statleak_job_retries_total",
 		"failed attempts re-enqueued with backoff")
 )
-
-// setQueueDepth refreshes both exported queue-depth gauges.
-func setQueueDepth(n int) {
-	metQueueDepth.Set(float64(n))
-	metQueueDepthShort.Set(float64(n))
-}
 
 // ErrQueueFull is returned by Submit when the bounded queue is at
 // capacity; the HTTP layer maps it to 503.
@@ -195,7 +183,7 @@ func (m *Manager) submit(req Request) (*Job, Status, error) {
 	}
 	m.mu.Unlock()
 	metJobsSubmitted.Inc()
-	setQueueDepth(len(m.queue))
+	metQueueDepth.Set(float64(len(m.queue)))
 	m.log.Info("job submitted", "id", job.ID, "optimizer", req.optimizer(), "circuit", req.Circuit)
 	return job, st, nil
 }
@@ -306,7 +294,7 @@ func (m *Manager) worker() {
 	defer m.wg.Done()
 	//lint:ignore ctxflow close(m.queue) in Shutdown is the drain signal; per-job cancellation lives in runJob
 	for job := range m.queue {
-		setQueueDepth(len(m.queue))
+		metQueueDepth.Set(float64(len(m.queue)))
 		m.runJob(job)
 	}
 }
