@@ -22,6 +22,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/sta"
 	"repro/internal/stats"
+	"repro/internal/tech"
 )
 
 // Config sets the body-bias knob.
@@ -121,9 +122,10 @@ func (r *Result) LeakSummaries() (noBias, biased stats.Summary) {
 // die is one sampled process realization, frozen so that repeated
 // evaluations at different biases see identical silicon.
 type die struct {
-	dL  []float64 // per-node ΔLeff [nm]
-	dV  []float64 // per-node independent ΔVth [V]
-	ids []int     // logic-gate node IDs
+	dL    []float64   // per-node ΔLeff [nm]
+	dV    []float64   // per-node independent ΔVth [V]
+	ids   []int       // logic-gate node IDs
+	cells []tech.Cell // per-node cell bound once per run
 }
 
 // evalDie computes circuit delay and total leakage for a frozen die
@@ -132,17 +134,16 @@ type die struct {
 // blow up at extreme bias excursions, and letting a NaN/Inf flow into
 // the bisection would silently corrupt the bias choice instead of
 // surfacing the broken operating point.
-func evalDie(d *core.Design, order []int, loads []float64, s *die, biasVth float64,
+func evalDie(d *core.Design, order []int, s *die, biasVth float64,
 	delays, scratch []float64) (delay, leak float64, err error) {
-	lib := d.Lib
 	leak = 0
 	for _, id := range s.ids {
-		g := d.Circuit.Gate(id)
+		c := &s.cells[id]
 		dv := s.dV[id] + biasVth
-		delays[id] = lib.DelayWith(g.Type, d.Vth[id], d.Size[id], loads[id], s.dL[id], dv)
-		leak += lib.LeakWith(g.Type, d.Vth[id], d.Size[id], s.dL[id], dv)
+		delays[id] = c.Delay(s.dL[id], dv)
+		leak += c.Leak(s.dL[id], dv)
 	}
-	delay = sta.MaxDelayWithDelays(d.Circuit, order, delays, scratch, lib.P.DffSetupPs)
+	delay = sta.MaxDelayWithDelays(d.Circuit, order, delays, scratch, d.Lib.P.DffSetupPs)
 	if math.IsNaN(delay) || math.IsInf(delay, 0) || math.IsNaN(leak) || math.IsInf(leak, 0) {
 		return 0, 0, fmt.Errorf("non-finite die evaluation (delay=%g ps, leak=%g nW) at bias ΔVth=%g V", delay, leak, biasVth)
 	}
@@ -165,35 +166,39 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 	if err != nil {
 		return nil, err
 	}
+	// Bind each gate's cell and variation loading row once per run, and
+	// re-seed one RNG per die (the stream of a fresh source, without
+	// its allocation), as montecarlo.RunCtx does.
 	n := d.Circuit.NumNodes()
-	loads := make([]float64, n)
-	var ids []int
+	s := &die{dL: make([]float64, n), dV: make([]float64, n), cells: make([]tech.Cell, n)}
+	rows := make([][]float64, n)
+	vm := d.Var
 	for _, g := range d.Circuit.Gates() {
 		if g.Type == logic.Input {
 			continue
 		}
-		ids = append(ids, g.ID)
-		loads[g.ID] = d.Load(g.ID)
+		s.ids = append(s.ids, g.ID)
+		s.cells[g.ID] = d.Lib.Cell(g.Type, d.Vth[g.ID], d.Size[g.ID], d.Load(g.ID))
+		rows[g.ID] = vm.Loads(g.X, g.Y)
 	}
-	if len(ids) == 0 {
+	if len(s.ids) == 0 {
 		return nil, fmt.Errorf("abb: circuit has no logic gates")
 	}
 
 	res := &Result{Dies: make([]DieResult, samples)}
 	delays := make([]float64, n)
 	scratch := make([]float64, n)
-	s := &die{dL: make([]float64, n), dV: make([]float64, n), ids: ids}
-	vm := d.Var
+	globals := make([]float64, vm.NumPC)
+	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < samples; k++ {
-		rng := rand.New(rand.NewSource(stats.StreamSeed(seed, k)))
-		glob := vm.SampleGlobals(rng)
-		for _, id := range ids {
-			g := d.Circuit.Gate(id)
-			s.dL[id] = vm.DeltaL(glob, g.X, g.Y, rng.NormFloat64())
+		rng.Seed(stats.StreamSeed(seed, k))
+		vm.SampleGlobals(rng, globals)
+		for _, id := range s.ids {
+			s.dL[id] = vm.DeltaL(rows[id], globals, rng.NormFloat64())
 			s.dV[id] = vm.DeltaVth(rng.NormFloat64())
 		}
 		dr := &res.Dies[k]
-		dr.DelayNoBias, dr.LeakNoBias, err = evalDie(d, order, loads, s, 0, delays, scratch)
+		dr.DelayNoBias, dr.LeakNoBias, err = evalDie(d, order, s, 0, delays, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("abb: die %d: %w", k, err)
 		}
@@ -202,14 +207,14 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 		// so the most reverse feasible bias is found by bisection over
 		// [−MaxForward, +MaxReverse].
 		lo, hi := -cfg.MaxForwardV, cfg.MaxReverseV
-		dHi, _, err := evalDie(d, order, loads, s, cfg.GammaBB*hi, delays, scratch)
+		dHi, _, err := evalDie(d, order, s, cfg.GammaBB*hi, delays, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("abb: die %d: %w", k, err)
 		}
 		if dHi <= tmax {
 			dr.BiasV = hi
 		} else {
-			dLo, lLo, err := evalDie(d, order, loads, s, cfg.GammaBB*lo, delays, scratch)
+			dLo, lLo, err := evalDie(d, order, s, cfg.GammaBB*lo, delays, scratch)
 			if err != nil {
 				return nil, fmt.Errorf("abb: die %d: %w", k, err)
 			}
@@ -222,7 +227,7 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 			}
 			for i := 0; i < cfg.Steps; i++ {
 				mid := (lo + hi) / 2
-				dm, _, err := evalDie(d, order, loads, s, cfg.GammaBB*mid, delays, scratch)
+				dm, _, err := evalDie(d, order, s, cfg.GammaBB*mid, delays, scratch)
 				if err != nil {
 					return nil, fmt.Errorf("abb: die %d: %w", k, err)
 				}
@@ -234,7 +239,7 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 			}
 			dr.BiasV = lo
 		}
-		dr.DelayBiased, dr.LeakBiased, err = evalDie(d, order, loads, s, cfg.GammaBB*dr.BiasV, delays, scratch)
+		dr.DelayBiased, dr.LeakBiased, err = evalDie(d, order, s, cfg.GammaBB*dr.BiasV, delays, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("abb: die %d: %w", k, err)
 		}

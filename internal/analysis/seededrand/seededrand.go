@@ -8,8 +8,13 @@
 // that silently: the process-global math/rand stream (shared,
 // order-dependent, seeded from entropy since Go 1.20) and sources
 // seeded from wall-clock time. The analyzer forbids both in non-test
-// code; the approved idiom is rand.New(rand.NewSource(seed)) with the
-// seed threaded from a Config value.
+// code: it reports the global stream, and entropy in the seed
+// arguments of the package-level source constructors and of the Seed
+// methods of math/rand and math/rand/v2 types. The approved idioms
+// are rand.New(rand.NewSource(seed)) with the seed threaded from a
+// Config value, and one worker-owned *rand.Rand re-seeded per sample
+// from the config seed, rng.Seed(stats.StreamSeed(cfg.Seed, i)),
+// which replays the stream of a fresh source without allocating one.
 package seededrand
 
 import (
@@ -66,16 +71,12 @@ func run(pass *analysis.Pass) error {
 					pass.Reportf(n.Pos(), "use of global math/rand.%s: draw from a config-seeded *rand.Rand instead", fn.Name())
 				}
 			case *ast.CallExpr:
-				fn := pkgFunc(pass, analysis.Unparen(n.Fun))
-				if fn == nil || !isRandPath(fn.Pkg().Path()) {
+				if !takesSeed(pass, analysis.Unparen(n.Fun)) {
 					return true
 				}
-				switch fn.Name() {
-				case "NewSource", "NewPCG", "NewZipf":
-					for _, arg := range n.Args {
-						if call := entropyCall(pass, arg); call != nil {
-							pass.Reportf(call.Pos(), "RNG seed derived from %s: seeds must come from configuration so runs are replayable", callName(pass, call))
-						}
+				for _, arg := range n.Args {
+					if call := entropyCall(pass, arg); call != nil {
+						pass.Reportf(call.Pos(), "RNG seed derived from %s: seeds must come from configuration so runs are replayable", callName(pass, call))
 					}
 				}
 			}
@@ -83,6 +84,26 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// takesSeed reports whether fun, the callee of a call, seeds a
+// math/rand or math/rand/v2 generator: a source constructor
+// (NewSource, NewPCG, NewZipf) or a Seed method, such as
+// (*rand.Rand).Seed or (*rand.PCG).Seed.
+func takesSeed(pass *analysis.Pass, fun ast.Expr) bool {
+	if fn := pkgFunc(pass, fun); fn != nil {
+		switch fn.Name() {
+		case "NewSource", "NewPCG", "NewZipf":
+			return isRandPath(fn.Pkg().Path())
+		}
+		return false
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	m, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return ok && m.Pkg() != nil && m.Name() == "Seed" && isRandPath(m.Pkg().Path())
 }
 
 // pkgFunc resolves e to a package-level function (not a method); nil

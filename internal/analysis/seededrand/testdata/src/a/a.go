@@ -4,6 +4,7 @@ package a
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"os"
 	"time"
 )
@@ -27,6 +28,19 @@ func entropySeeded() *rand.Rand {
 
 func arithmeticOnTime(k int64) *rand.Rand {
 	return rand.New(rand.NewSource(7919*k + time.Now().Unix())) // want `RNG seed derived from time\.`
+}
+
+func reseededFromClock(rng *rand.Rand) float64 {
+	rng.Seed(time.Now().UnixNano()) // want `RNG seed derived from time\.`
+	return rng.NormFloat64()
+}
+
+func reseededSource(src rand.Source) {
+	src.Seed(int64(os.Getpid())) // want `RNG seed derived from os\.`
+}
+
+func reseededPCG(pcg *randv2.PCG) {
+	pcg.Seed(uint64(time.Now().UnixNano()), 1) // want `RNG seed derived from time\.`
 }
 
 // seeded is the approved idiom: the seed arrives from configuration.

@@ -12,6 +12,14 @@ func perSample(cfg Config, s int) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
 }
 
+// reseeded re-seeds one worker-owned RNG per sample from the config
+// seed — the montecarlo/abb per-die pattern, which replays the stream
+// of a fresh source without allocating one.
+func reseeded(rng *rand.Rand, cfg Config, s int) float64 {
+	rng.Seed(cfg.Seed ^ int64(s)*7919)
+	return rng.NormFloat64()
+}
+
 // xored reseeds deterministically for a sub-stream — the
 // latin-hypercube pattern.
 func xored(seed int64) *rand.Rand {

@@ -375,31 +375,26 @@ func RunCtx(ctx context.Context, d *core.Design, cfg Config) (*Result, error) {
 		workers = cfg.Samples
 	}
 
-	// Freeze the per-gate electrical context: loads do not change
-	// during an MC run, so hoist them out of the per-sample loop.
+	// Bind every gate's cell and variation loading row once per run:
+	// the assignment and loads do not change during a run, so a die
+	// evaluates only what its excursions change. gates lists the logic
+	// gates in ID order, the order their private draws are taken in.
 	n := d.Circuit.NumNodes()
-	type gctx struct {
-		ty     logic.GateType
-		vth    uint8
-		size   float64
-		load   float64
-		x, y   float64
-		isGate bool
+	type gateCtx struct {
+		id   int
+		cell tech.Cell
+		row  []float64 // variation loading vector (variation.Model.Loads)
 	}
-	gs := make([]gctx, n)
+	var gates []gateCtx
 	for _, g := range d.Circuit.Gates() {
 		if g.Type == logic.Input {
 			continue
 		}
-		gs[g.ID] = gctx{
-			ty:     g.Type,
-			vth:    uint8(d.Vth[g.ID]),
-			size:   d.Size[g.ID],
-			load:   d.Load(g.ID),
-			x:      g.X,
-			y:      g.Y,
-			isGate: true,
-		}
+		gates = append(gates, gateCtx{
+			id:   g.ID,
+			cell: d.Lib.Cell(g.Type, d.Vth[g.ID], d.Size[g.ID], d.Load(g.ID)),
+			row:  d.Var.Loads(g.X, g.Y),
+		})
 	}
 
 	// Pre-draw the shared globals when stratifying; the per-sample RNG
@@ -433,7 +428,10 @@ func RunCtx(ctx context.Context, d *core.Design, cfg Config) (*Result, error) {
 	// from a channel. Results stay deterministic for a given
 	// (Samples, Seed) regardless of worker count or scheduling, because
 	// every sample derives its whole RNG stream from its own index and
-	// writes only its own result slots.
+	// writes only its own result slots. Each worker owns one RNG and
+	// re-seeds it per sample: Seed rebuilds exactly the state NewSource
+	// builds, so the stream is that of a fresh source without its
+	// allocation.
 	t0 := time.Now()
 	var done atomic.Uint64
 	jobs := make(chan int, workers)
@@ -442,34 +440,31 @@ func RunCtx(ctx context.Context, d *core.Design, cfg Config) (*Result, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			delays := make([]float64, n)
+			delays := make([]float64, n) // inputs stay 0
 			scratch := make([]float64, n)
-			lib := d.Lib
+			globals := make([]float64, d.Var.NumPC)
+			rng := rand.New(rand.NewSource(cfg.Seed))
 			vm := d.Var
 			for s := range jobs {
 				if ctx.Err() != nil {
 					continue // drain the channel without evaluating
 				}
-				rng := rand.New(rand.NewSource(stats.StreamSeed(cfg.Seed, s)))
-				die := vm.SampleGlobals(rng)
+				rng.Seed(stats.StreamSeed(cfg.Seed, s))
+				vm.SampleGlobals(rng, globals)
+				z := globals
 				if lhs != nil {
-					die.Z = lhs[s]
+					z = lhs[s]
 				}
 				if prop != nil {
-					res.Weights[s] = prop.perturb(die.Z, rng)
+					res.Weights[s] = prop.perturb(z, rng)
 				}
 				leak := 0.0
-				for id := range gs {
-					g := &gs[id]
-					if !g.isGate {
-						delays[id] = 0
-						continue
-					}
-					dL := vm.DeltaL(die, g.x, g.y, rng.NormFloat64())
+				for i := range gates {
+					g := &gates[i]
+					dL := vm.DeltaL(g.row, z, rng.NormFloat64())
 					dV := vm.DeltaVth(rng.NormFloat64())
-					vth := tech.VthClass(g.vth)
-					delays[id] = lib.DelayWith(g.ty, vth, g.size, g.load, dL, dV)
-					leak += lib.LeakWith(g.ty, vth, g.size, dL, dV)
+					delays[g.id] = g.cell.Delay(dL, dV)
+					leak += g.cell.Leak(dL, dV)
 				}
 				res.DelaysPs[s] = sta.MaxDelayWithDelays(d.Circuit, order, delays, scratch, d.Lib.P.DffSetupPs)
 				res.LeaksNW[s] = leak

@@ -135,3 +135,24 @@ func mustYield(t *testing.T, r *montecarlo.Result, tmax float64) float64 {
 	}
 	return y
 }
+
+// TestRunAllocsIndependentOfSamples: a run allocates its result
+// slices and per-worker state once, and nothing per die, so the
+// allocation count of a 4,000-sample run matches a 200-sample run's.
+func TestRunAllocsIndependentOfSamples(t *testing.T) {
+	d, err := fixture.Suite("s432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := montecarlo.Run(d, montecarlo.Config{Samples: samples, Seed: 1, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(4000)
+	if large-small > 16 {
+		t.Errorf("allocations grow with samples: %g at 200, %g at 4000", small, large)
+	}
+}

@@ -94,14 +94,15 @@ func TestCriticalityMatchesMonteCarloPathTracing(t *testing.T) {
 	counts := make([]float64, d.Circuit.NumNodes())
 	delays := make([]float64, d.Circuit.NumNodes())
 	vm := d.Var
+	z := make([]float64, vm.NumPC)
 	for s := 0; s < samples; s++ {
 		rng := rand.New(rand.NewSource(int64(s)*7919 + 3))
-		die := vm.SampleGlobals(rng)
+		vm.SampleGlobals(rng, z)
 		for _, g := range d.Circuit.Gates() {
 			if g.Type == logic.Input {
 				continue
 			}
-			dL := vm.DeltaL(die, g.X, g.Y, rng.NormFloat64())
+			dL := vm.DeltaL(vm.Loads(g.X, g.Y), z, rng.NormFloat64())
 			dV := vm.DeltaVth(rng.NormFloat64())
 			delays[g.ID] = d.GateDelayWith(g.ID, dL, dV)
 		}

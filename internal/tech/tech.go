@@ -231,6 +231,11 @@ type Library struct {
 	tau0Eff        float64 // τ₀ at temperature
 	subSwingEff    float64 // S at temperature
 	i0Eff          float64 // I₀ at temperature
+
+	// Alpha split as math.Pow splits an exponent (see powAlpha):
+	// Alpha = alphaFrac + 2 when alphaSquare, else alphaFrac + 1.
+	alphaFrac   float64
+	alphaSquare bool
 }
 
 // NewLibrary builds a library over the default size ladder.
@@ -248,7 +253,31 @@ func NewLibrary(p *Params) (*Library, error) {
 	lb.tauHVT = lb.tau0Eff * math.Pow(ratio, p.Alpha)
 	lb.leak10[LowVth] = math.Pow(10, -p.VthLow/lb.subSwingEff)
 	lb.leak10[HighVth] = math.Pow(10, -p.VthHigh/lb.subSwingEff)
+	// Validate keeps Alpha in [1,2], so the integer part is 1 or 2.
+	ai, af := math.Modf(p.Alpha)
+	if af > 0.5 {
+		af--
+		ai++
+	}
+	lb.alphaFrac, lb.alphaSquare = af, stats.EqExact(ai, 2)
 	return lb, nil
+}
+
+// powAlpha returns math.Pow(x, Alpha) bit for bit, for positive x
+// whose power is a normal float (DelayWith's Vdd−0.01 clamp bounds x
+// by (Vdd−VthLow)/0.01). Pow splits its exponent into an integer part and a
+// fraction f ∈ (−0.5, 0.5] as NewLibrary does, computes Exp(f·Log x),
+// and multiplies in x^1 or x^2 by squaring Frexp's mantissa. Scaling
+// by a power of two does not change how a product rounds, so for
+// those two integer parts the result is Exp(f·Log x)·x or
+// Exp(f·Log x)·(x·x), computed here without Pow's special cases,
+// Modf, Frexp, loop and Ldexp.
+func (lb *Library) powAlpha(x float64) float64 {
+	a := math.Exp(lb.alphaFrac * math.Log(x))
+	if lb.alphaSquare {
+		return a * (x * x)
+	}
+	return a * x
 }
 
 // LeakBeta returns the effective β = ln10/S(T): the exponential
@@ -300,7 +329,13 @@ func (lb *Library) Delay(t logic.GateType, v VthClass, size, loadFF float64) flo
 	if t == logic.Input {
 		return 0
 	}
-	return lb.Tau(v) * (loadFF/(size*lb.P.CinUnitFF) + traits[t].p)
+	return lb.Tau(v) * lb.loadTerm(t, size, loadFF)
+}
+
+// loadTerm returns the delay factor loadFF/(size·Cu) + p(type) that
+// multiplies τ.
+func (lb *Library) loadTerm(t logic.GateType, size, loadFF float64) float64 {
+	return loadFF/(size*lb.P.CinUnitFF) + traits[t].p
 }
 
 // DelayWith returns the exact (nonlinear) delay [ps] under a channel-
@@ -311,8 +346,14 @@ func (lb *Library) DelayWith(t logic.GateType, v VthClass, size, loadFF, dLnm, d
 	if t == logic.Input {
 		return 0
 	}
+	return lb.delayAt(lb.P.Vth(v), lb.loadTerm(t, size, loadFF), dLnm, dVthV)
+}
+
+// delayAt is DelayWith for a cell of nominal threshold vth and load
+// term loadTerm (see loadTerm).
+func (lb *Library) delayAt(vth, loadTerm, dLnm, dVthV float64) float64 {
 	p := lb.P
-	vthEff := p.Vth(v) + p.KRoll*dLnm + dVthV
+	vthEff := vth + p.KRoll*dLnm + dVthV
 	if vthEff >= p.Vdd-0.01 {
 		vthEff = p.Vdd - 0.01 // clamp: the device barely turns on
 	}
@@ -321,8 +362,8 @@ func (lb *Library) DelayWith(t logic.GateType, v VthClass, size, loadFF, dLnm, d
 		leff = p.LeffNom * 0.5
 	}
 	tau := lb.tau0Eff * (leff / p.LeffNom) *
-		math.Pow((p.Vdd-p.VthLow)/(p.Vdd-vthEff), p.Alpha)
-	return tau * (loadFF/(size*p.CinUnitFF) + traits[t].p)
+		lb.powAlpha((p.Vdd-p.VthLow)/(p.Vdd-vthEff))
+	return tau * loadTerm
 }
 
 // DelayDerivs returns the first-order sensitivities of Delay to ΔLeff
@@ -408,9 +449,54 @@ func (lb *Library) LeakWith(t logic.GateType, v VthClass, size, dLnm, dVthV floa
 	if t == logic.Input {
 		return 0
 	}
-	beta := lb.LeakBeta()
+	return lb.leakAt(lb.SubLeak(t, v, size), lb.GateLeak(t, size), lb.LeakBeta(), dLnm, dVthV)
+}
+
+// leakAt is LeakWith for a cell of nominal subthreshold leakage sub,
+// gate leakage gate and β = ln10/S(T).
+func (lb *Library) leakAt(sub, gate, beta, dLnm, dVthV float64) float64 {
 	dvth := lb.P.KRoll*dLnm + dVthV
-	return lb.SubLeak(t, v, size)*math.Exp(-beta*dvth) + lb.GateLeak(t, size)
+	return sub*math.Exp(-beta*dvth) + gate
+}
+
+// Cell is a library cell bound to a gate type, Vth class, size and
+// load, with every term of DelayWith and LeakWith that the process
+// excursion does not change folded once: the nominal threshold, the
+// load term, the nominal subthreshold and gate leakage, and β. Monte
+// Carlo binds one Cell per gate per run and evaluates it per die.
+type Cell struct {
+	lb       *Library
+	vth      float64 // nominal threshold [V]
+	loadTerm float64 // loadFF/(size·Cu) + p(type)
+	sub      float64 // nominal subthreshold leakage [nW]
+	gate     float64 // gate-tunneling leakage [nW]
+	beta     float64 // ln10/S(T) [1/V]
+}
+
+// Cell binds a cell of type t, class v and size driving loadFF. A
+// logic.Input pseudo-gate binds with zero load term and leakage, so
+// its Delay and Leak are 0 like DelayWith's and LeakWith's.
+func (lb *Library) Cell(t logic.GateType, v VthClass, size, loadFF float64) Cell {
+	c := Cell{lb: lb, vth: lb.P.Vth(v), beta: lb.LeakBeta()}
+	if t != logic.Input {
+		c.loadTerm = lb.loadTerm(t, size, loadFF)
+		c.sub = lb.SubLeak(t, v, size)
+		c.gate = lb.GateLeak(t, size)
+	}
+	return c
+}
+
+// Delay returns the cell's exact delay [ps] under a channel-length
+// excursion dLnm [nm] and threshold shift dVthV [V]; it equals
+// DelayWith at the bound type, class, size and load bit for bit.
+func (c *Cell) Delay(dLnm, dVthV float64) float64 {
+	return c.lb.delayAt(c.vth, c.loadTerm, dLnm, dVthV)
+}
+
+// Leak returns the cell's exact leakage [nW] under the excursion; it
+// equals LeakWith at the bound type, class and size bit for bit.
+func (c *Cell) Leak(dLnm, dVthV float64) float64 {
+	return c.lb.leakAt(c.sub, c.gate, c.beta, dLnm, dVthV)
 }
 
 // LeakExponents returns the coefficients (bL [1/nm], bV [1/V]) of the

@@ -33,6 +33,7 @@ func TestParamsValidateRejectsBad(t *testing.T) {
 		func(p *Params) { p.VthHigh = p.VthLow },
 		func(p *Params) { p.VthHigh = p.Vdd },
 		func(p *Params) { p.Alpha = 3 },
+		func(p *Params) { p.Alpha = 0.9 }, // powAlpha needs an integer part of 1 or 2
 		func(p *Params) { p.SubSwing = 0 },
 		func(p *Params) { p.KRoll = -1 },
 		func(p *Params) { p.Tau0Ps = 0 },

@@ -247,25 +247,20 @@ func (m *Model) Correlation(x1, y1, x2, y2 float64) float64 {
 	return cov / math.Sqrt(v1*v2)
 }
 
-// Sample is one drawn die: the shared global vector plus an RNG for
-// the per-gate private terms.
-type Sample struct {
-	Z []float64 // globals: length NumPC
-}
-
-// SampleGlobals draws the shared global vector Z ~ N(0, I).
-func (m *Model) SampleGlobals(rng *rand.Rand) Sample {
-	z := make([]float64, m.NumPC)
-	for i := range z {
+// SampleGlobals draws one die's shared global vector Z ~ N(0, I) into
+// z, which must have length NumPC. Samplers pass the same buffer for
+// every die, so drawing a die allocates nothing.
+func (m *Model) SampleGlobals(rng *rand.Rand, z []float64) {
+	for i := range z[:m.NumPC] {
 		z[i] = rng.NormFloat64()
 	}
-	return Sample{Z: z}
 }
 
-// DeltaL returns the ΔLeff [nm] of a gate at (x,y) for the given
-// global sample and the gate's private standard-normal draw r.
-func (m *Model) DeltaL(s Sample, x, y, r float64) float64 {
-	return linalg.Dot(m.Loads(x, y), s.Z) + m.sigmaIndNm*r
+// DeltaL returns the ΔLeff [nm] of a gate with loading vector a (its
+// Loads row) on the die with globals z, given the gate's private
+// standard-normal draw r.
+func (m *Model) DeltaL(a, z []float64, r float64) float64 {
+	return linalg.Dot(a, z) + m.sigmaIndNm*r
 }
 
 // DeltaVth returns the independent ΔVth [V] for the gate's private

@@ -94,9 +94,10 @@ func TestMonteCarloMatchesAnalyticMoments(t *testing.T) {
 	const n = 60000
 	x, y := 0.4, 0.6
 	samples := make([]float64, n)
+	z := make([]float64, m.NumPC)
 	for i := range samples {
-		s := m.SampleGlobals(rng)
-		samples[i] = m.DeltaL(s, x, y, rng.NormFloat64())
+		m.SampleGlobals(rng, z)
+		samples[i] = m.DeltaL(m.Loads(x, y), z, rng.NormFloat64())
 	}
 	gotVar := stats.Variance(samples)
 	wantVar := m.TotalVarAt(x, y)
@@ -118,11 +119,12 @@ func TestMonteCarloPairCorrelation(t *testing.T) {
 	a := make([]float64, n)
 	b := make([]float64, n)
 	c := make([]float64, n)
+	z := make([]float64, m.NumPC)
 	for i := 0; i < n; i++ {
-		s := m.SampleGlobals(rng)
-		a[i] = m.DeltaL(s, x1, y1, rng.NormFloat64())
-		b[i] = m.DeltaL(s, x2, y2, rng.NormFloat64())
-		c[i] = m.DeltaL(s, x3, y3, rng.NormFloat64())
+		m.SampleGlobals(rng, z)
+		a[i] = m.DeltaL(m.Loads(x1, y1), z, rng.NormFloat64())
+		b[i] = m.DeltaL(m.Loads(x2, y2), z, rng.NormFloat64())
+		c[i] = m.DeltaL(m.Loads(x3, y3), z, rng.NormFloat64())
 	}
 	gotNear := stats.Correlation(a, b)
 	wantNear := m.Correlation(x1, y1, x2, y2)
@@ -200,8 +202,9 @@ func TestZeroVariationDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	s := m.SampleGlobals(rng)
-	if dl := m.DeltaL(s, 0.5, 0.5, rng.NormFloat64()); dl != 0 {
+	z := make([]float64, m.NumPC)
+	m.SampleGlobals(rng, z)
+	if dl := m.DeltaL(m.Loads(0.5, 0.5), z, rng.NormFloat64()); dl != 0 {
 		t.Errorf("zero-variation ΔL = %g", dl)
 	}
 }
