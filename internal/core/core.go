@@ -201,11 +201,17 @@ func (d *Design) delayAs(id int, v tech.VthClass, s, load float64) float64 {
 // excursions (ΔLeff in nm, independent ΔVth in V) — the Monte Carlo
 // model. Body bias adds to the threshold excursion.
 func (d *Design) GateDelayWith(id int, dLnm, dVthV float64) float64 {
+	return d.GateDelayWithAt(id, d.Load(id), dLnm, dVthV)
+}
+
+// GateDelayWithAt is GateDelayWith evaluated at a caller-supplied load,
+// for callers that already hold the gate's (pure) load sum.
+func (d *Design) GateDelayWithAt(id int, load, dLnm, dVthV float64) float64 {
 	g := d.Circuit.Gate(id)
 	if d.BiasVth != nil {
 		dVthV += d.BiasVth[id]
 	}
-	return d.Lib.DelayWith(g.Type, d.Vth[id], d.Size[id], d.Load(id), dLnm, dVthV)
+	return d.Lib.DelayWith(g.Type, d.Vth[id], d.Size[id], load, dLnm, dVthV)
 }
 
 // GateDelayDerivs returns ∂delay/∂ΔLeff [ps/nm] and ∂delay/∂ΔVth

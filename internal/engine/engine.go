@@ -20,6 +20,10 @@
 //     for final scoreboards.
 //   - Both caches are built lazily: a purely corner-based consumer
 //     (the deterministic optimizer) never pays for SSTA state.
+//   - The deterministic corner analysis keeps its own per-node memo of
+//     loads and corner delays, dropped for a moved gate and its fanins
+//     as the timing cache's is, and re-runs the arrival, required and
+//     slack passes over it into one engine-owned result.
 //   - Scoring never leaves a trace. Local scoring (ScoreAllLocalCtx)
 //     is read-only: it evaluates the moved gate from the library and
 //     asks the accumulator what its quantile would be. Exact scoring
@@ -111,8 +115,15 @@ type Engine struct {
 	inc *ssta.Incremental    // lazy: statistical timing
 	acc *leakage.Accumulator // lazy: factored leakage
 
-	corner     *sta.Result // memoized corner STA for cornerTmax
-	cornerTmax float64
+	// Corner memo: per node the fanout load and the delay at the
+	// configured corner, valid where cornerMemoOK (allocated on first
+	// use; Refresh and noteChange drop entries). corner is the
+	// analysis Corner last ran, valid for cornerTmax while cornerOK.
+	cornerLoad, cornerDelay []float64
+	cornerMemoOK            []bool
+	corner                  sta.Result
+	cornerOK                bool
+	cornerTmax              float64
 
 	// last is the move the most recent cache update applied (nil after
 	// a revert). Reverting exactly that move lets the timing cache undo
@@ -197,7 +208,7 @@ func (e *Engine) Revert(m Move) error {
 // untouched since, so the timing cache may roll the update back.
 func (e *Engine) noteChange(m Move, revert bool) error {
 	id := m.Gate()
-	e.corner = nil
+	e.forgetCorner(id)
 	if e.acc != nil {
 		e.acc.Update(id)
 	}
@@ -224,7 +235,7 @@ func (e *Engine) noteChange(m Move, revert bool) error {
 func (e *Engine) Refresh() error {
 	t0 := time.Now()
 	defer func() { metRefreshes.Observe(time.Since(t0).Seconds()) }()
-	e.corner = nil
+	e.dropCorner()
 	e.sinceRefresh = 0
 	if e.inc != nil {
 		inc, err := ssta.NewIncremental(e.d)
@@ -324,34 +335,73 @@ func (e *Engine) LeakMean() (float64, error) {
 // involved; a convenience for objective tracking).
 func (e *Engine) TotalLeak() float64 { return e.d.TotalLeak() }
 
-// Corner returns the memoized deterministic corner STA against tmaxPs.
-// The result is invalidated by any Apply/Revert and recomputed on
-// demand, so back-to-back queries between moves are free.
+// Corner returns the deterministic corner STA against tmaxPs. The
+// result is engine-owned and refreshed in place: it stays valid until
+// the next Apply, Revert or Refresh, or a Corner query at another
+// tmaxPs — the contract Timing has. Back-to-back queries between moves
+// are free; after a move only the moved gate's and its fanins' corner
+// delays are re-evaluated before the passes re-run.
 func (e *Engine) Corner(tmaxPs float64) (*sta.Result, error) {
-	if e.corner != nil && stats.EqExact(e.cornerTmax, tmaxPs) {
-		return e.corner, nil
+	if e.cornerOK && stats.EqExact(e.cornerTmax, tmaxPs) {
+		return &e.corner, nil
 	}
-	r, err := e.cornerSTA(tmaxPs)
+	c := e.d.Circuit
+	order, err := c.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	e.corner, e.cornerTmax = r, tmaxPs
-	return r, nil
-}
-
-// cornerSTA runs deterministic STA against tmaxPs with every gate's
-// delay evaluated afresh at the engine's corner.
-func (e *Engine) cornerSTA(tmaxPs float64) (*sta.Result, error) {
-	delays := make([]float64, e.d.Circuit.NumNodes())
-	for _, g := range e.d.Circuit.Gates() {
-		if g.Type == logic.Input {
-			continue
-		}
-		if stats.EqZero(e.dLc) && stats.EqZero(e.dVc) {
-			delays[g.ID] = e.d.GateDelay(g.ID)
-		} else {
-			delays[g.ID] = e.d.GateDelayWith(g.ID, e.dLc, e.dVc)
+	for _, g := range c.Gates() {
+		if g.Type != logic.Input {
+			e.cornerLoadDelay(g.ID)
 		}
 	}
-	return sta.AnalyzeDelays(e.d.Circuit, delays, tmaxPs, e.d.Lib.P.DffSetupPs)
+	sta.AnalyzeInto(&e.corner, c, order, e.cornerDelay, tmaxPs, e.d.Lib.P.DffSetupPs)
+	e.cornerOK, e.cornerTmax = true, tmaxPs
+	return &e.corner, nil
+}
+
+// cornerLoadDelay returns gate id's fanout load [fF] and its delay [ps]
+// at the engine's corner from the memo, filling the entry on a miss.
+func (e *Engine) cornerLoadDelay(id int) (loadFF, delayPs float64) {
+	if e.cornerMemoOK == nil {
+		n := e.d.Circuit.NumNodes()
+		e.cornerLoad, e.cornerDelay = make([]float64, n), make([]float64, n)
+		e.cornerMemoOK = make([]bool, n)
+	}
+	if !e.cornerMemoOK[id] {
+		load := e.d.Load(id)
+		e.cornerLoad[id], e.cornerDelay[id] = load, cornerDelayAt(e.d, id, load, e.dLc, e.dVc)
+		e.cornerMemoOK[id] = true
+	}
+	return e.cornerLoad[id], e.cornerDelay[id]
+}
+
+// cornerDelayAt is gate id's delay [ps] at the (ΔLeff, ΔVth) corner
+// excursion and the given load: the nominal delay when the excursion
+// is zero, the excursion model otherwise.
+func cornerDelayAt(d *core.Design, id int, load, dLnm, dVthV float64) float64 {
+	if stats.EqZero(dLnm) && stats.EqZero(dVthV) {
+		return d.GateDelayAt(id, load)
+	}
+	return d.GateDelayWithAt(id, load, dLnm, dVthV)
+}
+
+// forgetCorner drops the corner analysis and the memo entries a change
+// of gate id can perturb: its own delay and its fanins' loads and
+// delays.
+func (e *Engine) forgetCorner(id int) {
+	e.cornerOK = false
+	if e.cornerMemoOK == nil {
+		return
+	}
+	e.cornerMemoOK[id] = false
+	for _, f := range e.d.Circuit.Gate(id).Fanin {
+		e.cornerMemoOK[f] = false
+	}
+}
+
+// dropCorner drops the corner analysis and the whole memo.
+func (e *Engine) dropCorner() {
+	e.cornerOK = false
+	clear(e.cornerMemoOK)
 }

@@ -169,6 +169,21 @@ func (f *Family) LoadDelay(id int) (loadFF, delayPs float64) {
 	return load, f.base.GateDelayAt(id, load)
 }
 
+// CornerLoadDelay returns the base design's fanout load [fF] and its
+// delay [ps] at the primary corner's process excursion: the nominal
+// delay when the excursion is zero, the excursion model otherwise.
+// Like LoadDelay, the values come from the primary corner's corner
+// memo when that corner evaluates the base design itself, and are
+// computed from the base design otherwise.
+func (f *Family) CornerLoadDelay(id int) (loadFF, delayPs float64) {
+	e := f.engines[0]
+	if e.d == f.base {
+		return e.cornerLoadDelay(id)
+	}
+	load := f.base.Load(id)
+	return load, cornerDelayAt(f.base, id, load, e.dLc, e.dVc)
+}
+
 // Refresh rebuilds every corner's caches from the shared assignment.
 func (f *Family) Refresh() error {
 	for i, e := range f.engines {
@@ -333,7 +348,8 @@ func (f *Family) TotalLeak() float64 {
 
 // Corner returns the binding deterministic corner STA against tmaxPs:
 // the per-corner analysis with the largest max delay (ties break to
-// the lowest corner index).
+// the lowest corner index). It is that corner engine's result, valid
+// as Engine.Corner documents.
 func (f *Family) Corner(tmaxPs float64) (*sta.Result, error) {
 	var worst *sta.Result
 	for _, e := range f.engines {
@@ -419,9 +435,10 @@ func (f *Family) CornerScoreboard() ([]CornerMetrics, error) {
 		cm.LeakPctNW = an.Quantile(e.cfg.LeakPercentile)
 		cm.LeakMeanNW = an.MeanNW
 		cm.NominalLeakNW = e.d.TotalLeak()
-		// Fresh corner STA (Engine.Corner memoizes and would be stale
-		// after a direct assignment restore).
-		r, err := e.cornerSTA(e.cfg.TmaxPs)
+		// Fresh corner STA: the corner memo would be stale after a
+		// direct assignment restore, so drop it first.
+		e.dropCorner()
+		r, err := e.Corner(e.cfg.TmaxPs)
 		if err != nil {
 			return nil, fmt.Errorf("engine: corner %q: %w", f.names[i], err)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/scenario"
 	"repro/internal/ssta"
+	"repro/internal/sta"
 )
 
 // fourCornerSpec is the canonical 2 temps × 2 voltage corners matrix
@@ -348,15 +349,41 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 }
 
 // TestFamilyCornerScoreboard sanity-checks the fresh per-corner
-// scoreboard: four named rows with finite, positive metrics.
+// scoreboard: four named rows with finite, positive metrics. The
+// scoreboard runs after an assignment restored behind the engines'
+// backs, with their corner memos live, and each corner delay must
+// still equal a fresh corner STA of the restored design bit for bit.
 func TestFamilyCornerScoreboard(t *testing.T) {
-	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
+	f := testFamily(t, "s432", Config{CornerSigma: 3}, fourCornerSpec(t))
+	if _, err := f.Corner(f.Config().TmaxPs); err != nil {
+		t.Fatal(err)
+	}
+	d := f.Design()
+	restored := d.Clone()
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 40; k++ {
+		if mv, ok := randomMove(restored, gateIDs(d), rng); ok {
+			if err := mv.Apply(restored); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.CopyAssignmentFrom(restored)
 	cms, err := f.CornerScoreboard()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cms) != 4 {
 		t.Fatalf("scoreboard has %d rows, want 4", len(cms))
+	}
+	for i, e := range f.Engines() {
+		fresh, err := sta.AnalyzeCorner(e.d, e.cfg.TmaxPs, e.cfg.CornerSigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(cms[i].CornerDelayPs) != math.Float64bits(fresh.MaxDelay) {
+			t.Errorf("corner %q: scoreboard corner delay %v, fresh corner STA %v", cms[i].Name, cms[i].CornerDelayPs, fresh.MaxDelay)
+		}
 	}
 	for _, cm := range cms {
 		if cm.Name == "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -43,6 +44,11 @@ func TestPrepare(t *testing.T) {
 	}
 }
 
+// TestTable1FullSuite renders Table 1 over the full ten-circuit suite
+// and requires it to equal the first block of the committed
+// experiments_output.txt byte for byte. Table 1 has no wall-clock
+// column, so this pins Dmin — the greedy minimum-delay sizing — on
+// every suite circuit.
 func TestTable1FullSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -56,11 +62,23 @@ func TestTable1FullSuite(t *testing.T) {
 	if len(tb.Rows) != 10 {
 		t.Errorf("Table1 has %d rows, want 10 (full suite)", len(tb.Rows))
 	}
-	if err := tb.Render(&buf); err != nil {
+	var got bytes.Buffer
+	if err := tb.Render(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "s7552") {
+	if !strings.Contains(got.String(), "s7552") {
 		t.Error("Table1 missing s7552")
+	}
+	committed, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, ok := strings.Cut(string(committed), "\n\n")
+	if !ok {
+		t.Fatal("experiments_output.txt has no blank line after its first block")
+	}
+	if want += "\n\n"; got.String() != want {
+		t.Errorf("Table 1 differs from the first block of experiments_output.txt\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

@@ -44,7 +44,9 @@ func MinimumDelayCtx(ctx context.Context, d *core.Design) (float64, error) {
 // inflicts on its drivers) and verify with the engine's memoized
 // corner STA — the driver reverts and the policy blacklists the gate
 // when the estimate was wrong. target = 0 sizes for minimum delay.
-// maxMoves 0 means 10×n.
+// maxMoves 0 means 10×n. The engine refreshes its corner analysis in
+// place, so the policy keeps the accepted max delay as a number and
+// re-reads the analysis for each proposal.
 func sizeToTarget(ctx context.Context, e *engine.Family, target float64, maxMoves int, o Options, optimizer string) (*Result, error) {
 	res := &Result{}
 	d := e.Design()
@@ -61,17 +63,22 @@ func sizeToTarget(ctx context.Context, e *engine.Family, target float64, maxMove
 	if err != nil {
 		return nil, err
 	}
+	maxDelay := r.MaxDelay
 	iter := -1
 	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: optimizer,
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
 			iter++
-			if target > 0 && r.MaxDelay <= target {
+			if target > 0 && maxDelay <= target {
 				res.Feasible = true
 				return nil, nil
 			}
 			if t.Moves >= maxMoves {
 				return nil, nil
+			}
+			r, err := analyze()
+			if err != nil {
+				return nil, err
 			}
 			// Candidates: non-blacklisted critical-path gates below max size.
 			d := e.Design()
@@ -94,7 +101,7 @@ func sizeToTarget(ctx context.Context, e *engine.Family, target float64, maxMove
 				}
 			}
 			if bestID < 0 {
-				res.Feasible = target > 0 && r.MaxDelay <= target
+				res.Feasible = target > 0 && maxDelay <= target
 				return nil, nil
 			}
 			mv, ok := engine.NewUpsize(d, bestID)
@@ -110,11 +117,11 @@ func sizeToTarget(ctx context.Context, e *engine.Family, target float64, maxMove
 			if err != nil {
 				return false, err
 			}
-			if r2.MaxDelay >= r.MaxDelay-slackEps {
+			if r2.MaxDelay >= maxDelay-slackEps {
 				// The local estimate lied (off-path loading dominated).
 				return false, nil
 			}
-			r = r2
+			maxDelay = r2.MaxDelay
 			return true, nil
 		},
 		Rejected: func(mv engine.Move) { blacklist[mv.Gate()] = true },
@@ -131,7 +138,7 @@ func sizeToTarget(ctx context.Context, e *engine.Family, target float64, maxMove
 	if err != nil {
 		return nil, err
 	}
-	res.NominalDelayPs = r.MaxDelay
+	res.NominalDelayPs = maxDelay
 	res.NominalLeakNW = d.TotalLeak()
 	return res, nil
 }
@@ -213,6 +220,7 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 	var best *core.Design
 	bestLeak := math.Inf(1)
 	total := &Result{}
+	sc := newCornerScan(e, o)
 
 	margins := phaseAMargins
 	if !o.EnableSizing {
@@ -237,7 +245,7 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 		if r.MaxDelay > o.TmaxPs+slackEps {
 			break // even the real constraint is out of reach; deeper targets won't help
 		}
-		if err := detPhaseB(ctx, e, o, total); err != nil {
+		if err := detPhaseB(ctx, sc, total); err != nil {
 			return nil, err
 		}
 		// The incumbent objective is the corner-aggregated nominal
@@ -278,14 +286,15 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 
 // detPhaseB drains all corner-feasible leakage-recovery moves as a
 // first-accept search policy.
-func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) error {
+func detPhaseB(ctx context.Context, sc *cornerScan, res *Result) error {
+	e, o := sc.e, sc.o
 	d := e.Design()
 	maxMoves := o.MaxMoves
 	if maxMoves == 0 {
 		maxMoves = 10 * d.Circuit.NumGates()
 	}
 	base := res.Moves // accumulated across the margin sweep
-	blocked := newMoveSet(d)
+	clear(sc.blocked)
 	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "deterministic",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
@@ -296,11 +305,12 @@ func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) er
 			if err != nil {
 				return nil, err
 			}
-			mv, ok := bestCornerRecoveryMove(e, o, r.Slack, blocked)
-			if !ok {
-				return nil, nil
+			mv, err := sc.best(r.Slack)
+			if mv == nil || err != nil {
+				return nil, err
 			}
-			return &search.Round{Moves: []engine.Move{mv}}, nil
+			sc.round.Moves[0] = mv
+			return &sc.round, nil
 		},
 		// The feasibility condition is exact for these move types (see
 		// the package comment), so a violation here would be a bug; the
@@ -312,7 +322,7 @@ func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) er
 			}
 			return r2.MaxDelay <= o.TmaxPs+slackEps, nil
 		},
-		Rejected: func(mv engine.Move) { blocked.add(mv) },
+		Rejected: sc.blocked.add,
 		Accepted: func(mv engine.Move, t *search.Tally) error {
 			o.report(Progress{Optimizer: "deterministic", Phase: "recovery", Moves: base + t.Moves, Round: t.Rounds, LeakQNW: e.Design().TotalLeak()})
 			return nil
@@ -322,10 +332,51 @@ func detPhaseB(ctx context.Context, e *engine.Family, o Options, res *Result) er
 	return err
 }
 
-// bestCornerRecoveryMove scans all gates for the highest
-// leakage-saved/slack-consumed phase-B move whose own-delay increase
-// (at the corner) fits in the gate's corner slack.
-func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocked moveSet) (engine.Move, bool) {
+// cornerScan is phase B's recovery scan. It keeps across rounds, and
+// across the margin sweep, one boxed move per gate and family (reused
+// while the gate's From state still matches), each gate's candidate
+// values, the blocked moves and the one-move round, so a round
+// allocates nothing.
+type cornerScan struct {
+	e       *engine.Family
+	o       Options
+	blocked moveSet
+	round   search.Round
+
+	swaps, downs []engine.Move // per gate: LVT→HVT swap, one-step downsize
+	cands        []recoveryCands
+}
+
+// recoveryCands is a gate's nominal leakage and its two candidates'
+// corner delays and nominal leakages, valid while the gate keeps the
+// Vth class, size index and load they were computed at.
+type recoveryCands struct {
+	ok           bool
+	vth          tech.VthClass
+	si           int
+	load         float64
+	lNow         float64
+	dSwap, lSwap float64 // LVT→HVT swap
+	dDown, lDown float64 // one-step downsize
+}
+
+func newCornerScan(e *engine.Family, o Options) *cornerScan {
+	d := e.Design()
+	n := d.Circuit.NumNodes()
+	return &cornerScan{e: e, o: o, blocked: newMoveSet(d),
+		round: search.Round{Moves: make([]engine.Move, 1)},
+		swaps: make([]engine.Move, n), downs: make([]engine.Move, n),
+		cands: make([]recoveryCands, n)}
+}
+
+// best scans all gates for the highest leakage-saved/slack-consumed
+// phase-B move whose own-delay increase (at the corner) fits in the
+// gate's corner slack, or returns nil. Loads and current corner delays
+// come from the family's corner memo. They and the candidates' values
+// are the base design's: under a scenario matrix corner 0 may be a
+// view with its own library.
+func (sc *cornerScan) best(slack []float64) (engine.Move, error) {
+	e, o := sc.e, sc.o
 	d := e.Design()
 	dLc, dVc := e.CornerOffsets()
 	bestScore := 0.0
@@ -335,13 +386,26 @@ func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocke
 			continue
 		}
 		id := g.ID
-		load := d.Load(id)
-		dNow := cellDelayAt(d, g.Type, d.Vth[id], d.Size[id], load, dLc, dVc)
-		lNow := d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])
+		load, dNow := e.CornerLoadDelay(id)
+		si := d.SizeIndex(id)
+		c := &sc.cands[id]
+		if !c.ok || c.vth != d.Vth[id] || c.si != si || !stats.EqExact(c.load, load) {
+			*c = recoveryCands{ok: true, vth: d.Vth[id], si: si, load: load,
+				lNow: d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])}
+			if o.EnableVth && d.Vth[id] == tech.LowVth {
+				c.dSwap = cellDelayAt(d, g.Type, tech.HighVth, d.Size[id], load, dLc, dVc)
+				c.lSwap = d.Lib.Leak(g.Type, tech.HighVth, d.Size[id])
+			}
+			if o.EnableSizing && si > 0 {
+				s := d.Lib.Sizes[si-1]
+				c.dDown = cellDelayAt(d, g.Type, d.Vth[id], s, load, dLc, dVc)
+				c.lDown = d.Lib.Leak(g.Type, d.Vth[id], s)
+			}
+		}
 		consider := func(mv engine.Move, dNew, lNew float64) {
 			dd := dNew - dNow
-			dl := lNow - lNew
-			if dl <= 0 || blocked.has(mv) {
+			dl := c.lNow - lNew
+			if dl <= 0 || sc.blocked.has(mv) {
 				return
 			}
 			if dd > slack[id]-slackEps {
@@ -354,20 +418,22 @@ func bestCornerRecoveryMove(e *engine.Family, o Options, slack []float64, blocke
 			}
 		}
 		if o.EnableVth && d.Vth[id] == tech.LowVth {
-			if mv, err := engine.NewVthSwap(d, id, tech.HighVth); err == nil {
-				consider(mv,
-					cellDelayAt(d, g.Type, tech.HighVth, d.Size[id], load, dLc, dVc),
-					d.Lib.Leak(g.Type, tech.HighVth, d.Size[id]))
+			if sw, ok := sc.swaps[id].(engine.VthSwap); !ok || sw.From != d.Vth[id] {
+				sw, err := engine.NewVthSwap(d, id, tech.HighVth)
+				if err != nil {
+					return nil, err
+				}
+				sc.swaps[id] = sw
 			}
+			consider(sc.swaps[id], c.dSwap, c.lSwap)
 		}
-		if o.EnableSizing {
-			if mv, ok := engine.NewDownsize(d, id); ok {
-				s := d.Lib.Sizes[mv.ToIdx]
-				consider(mv,
-					cellDelayAt(d, g.Type, d.Vth[id], s, load, dLc, dVc),
-					d.Lib.Leak(g.Type, d.Vth[id], s))
+		if o.EnableSizing && si > 0 {
+			if rs, ok := sc.downs[id].(engine.Resize); !ok || rs.FromIdx != si {
+				rs, _ = engine.NewDownsize(d, id) // si > 0
+				sc.downs[id] = rs
 			}
+			consider(sc.downs[id], c.dDown, c.lDown)
 		}
 	}
-	return best, best != nil
+	return best, nil
 }

@@ -34,7 +34,9 @@ var update = flag.Bool("update", false, "regenerate testdata/golden_scoreboard.j
 type goldenEntry struct {
 	Circuit string `json:"circuit"`
 
-	// Table 2 (deterministic recovery, combinational).
+	// Table 2 (deterministic recovery, combinational); the scenario
+	// table's deterministic rows reuse FullLeakNW for the final
+	// design's TotalLeak.
 	SizedLeakNW string `json:"sized_leak_nw,omitempty"`
 	FullLeakNW  string `json:"full_leak_nw,omitempty"`
 	VthSwaps    int    `json:"vth_swaps,omitempty"`
@@ -50,6 +52,9 @@ type goldenEntry struct {
 
 	// S1 extra: flip-flops ending HVT in the statistical design.
 	HVTFFs int `json:"hvt_ffs,omitempty"`
+
+	// Scenario table: the deterministic optimizer's accepted moves.
+	DetMoves int `json:"det_moves,omitempty"`
 }
 
 type goldenFile struct {
@@ -189,6 +194,33 @@ func computeGolden(t testing.TB, mutate func(*opt.Options)) *goldenFile {
 			StatMeanNW: hexf(res.LeakMeanNW),
 			StatYield:  hexf(res.YieldAtTmax),
 			StatMoves:  res.Moves,
+		})
+	}
+
+	// The deterministic optimizer under {vh, vn}: corner 0 is the vh
+	// view with its own library, so the recovery scan must read the
+	// base design's loads and corner delays, not corner 0's.
+	m, err = (&scenario.Spec{Corners: []string{"vh", "vn"}}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range []string{"s432 deterministic {vh,vn}", "s432 deterministic {vh,vn} at 1.3x Tmax"} {
+		o := pr.Opt
+		o.Scenario = m
+		if i == 1 {
+			o.TmaxPs *= 1.3
+		}
+		d := pr.Base.Clone()
+		res, err := opt.Deterministic(d, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Table["scenario"] = append(out.Table["scenario"], goldenEntry{
+			Circuit:    label,
+			FullLeakNW: hexf(d.TotalLeak()),
+			VthSwaps:   res.VthSwaps,
+			SizeDowns:  res.SizeDowns,
+			DetMoves:   res.Moves,
 		})
 	}
 	return out

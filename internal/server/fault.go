@@ -119,7 +119,7 @@ func (m *Manager) executeGuarded(ctx context.Context, job *Job) (*Outcome, error
 				return
 			}
 		}
-		out, err := execute(ctx, job)
+		out, err := execute(ctx, job, &m.models)
 		ch <- execResult{out: out, err: err}
 	}()
 	select {

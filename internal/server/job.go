@@ -3,7 +3,8 @@
 // pool, and an HTTP JSON API over it (see http.go). Each job carries
 // its own design built from the submitted netlist, so jobs share no
 // mutable state — the only cross-job objects are the manager's
-// bookkeeping maps, guarded by one mutex.
+// bookkeeping maps, guarded by one mutex, and each technology preset's
+// library and variation model, read-only once built.
 package server
 
 import (
@@ -381,8 +382,50 @@ func (j *Job) observe(ev opt.Progress) {
 	}
 }
 
-// buildDesign constructs the job's private design from the request.
-func buildDesign(r *Request) (*core.Design, string, error) {
+// presetModels builds each technology preset's library and variation
+// model on first use and shares them across jobs. Both are immutable
+// once built (Design.Clone shares them the same way), and the model's
+// eigendecomposition would otherwise run once per job.
+type presetModels struct {
+	mu     sync.Mutex
+	byName map[string]presetModel
+}
+
+type presetModel struct {
+	lib *tech.Library
+	vm  *variation.Model
+}
+
+// get returns the preset's shared library and variation model,
+// building them on the first call for that preset.
+func (pm *presetModels) get(preset string) (*tech.Library, *variation.Model, error) {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	if m, ok := pm.byName[preset]; ok {
+		return m.lib, m.vm, nil
+	}
+	p, err := tech.Preset(preset)
+	if err != nil {
+		return nil, nil, err
+	}
+	lib, err := tech.NewLibrary(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	vm, err := variation.New(variation.Default(p.LeffNom))
+	if err != nil {
+		return nil, nil, err
+	}
+	if pm.byName == nil {
+		pm.byName = make(map[string]presetModel)
+	}
+	pm.byName[preset] = presetModel{lib: lib, vm: vm}
+	return lib, vm, nil
+}
+
+// buildDesign constructs the job's private design from the request,
+// bound to the preset's shared library and variation model.
+func buildDesign(r *Request, models *presetModels) (*core.Design, string, error) {
 	var (
 		c    *logic.Circuit
 		err  error
@@ -414,15 +457,7 @@ func buildDesign(r *Request) (*core.Design, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	p, err := tech.Preset(r.preset())
-	if err != nil {
-		return nil, "", err
-	}
-	lib, err := tech.NewLibrary(p)
-	if err != nil {
-		return nil, "", err
-	}
-	vm, err := variation.New(variation.Default(p.LeffNom))
+	lib, vm, err := models.get(r.preset())
 	if err != nil {
 		return nil, "", err
 	}
@@ -434,11 +469,12 @@ func buildDesign(r *Request) (*core.Design, string, error) {
 }
 
 // execute runs the optimization for one job on the worker goroutine.
-// Everything it touches is job-local; ctx cancellation propagates to
-// the optimizer loops and the Monte Carlo pool.
-func execute(ctx context.Context, job *Job) (*Outcome, error) {
+// Everything it mutates is job-local (the preset models it shares are
+// read-only); ctx cancellation propagates to the optimizer loops and
+// the Monte Carlo pool.
+func execute(ctx context.Context, job *Job, models *presetModels) (*Outcome, error) {
 	r := &job.Req
-	d, name, err := buildDesign(r)
+	d, name, err := buildDesign(r, models)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +531,7 @@ func execute(ctx context.Context, job *Job) (*Outcome, error) {
 			return nil, err
 		}
 		// Put the corner flow on the same statistical scoreboard.
-		sr, err := opt.EvaluateStatistical(d, o)
+		sr, err := opt.EvaluateStatisticalCtx(ctx, d, o)
 		if err != nil {
 			return nil, err
 		}

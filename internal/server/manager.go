@@ -94,6 +94,8 @@ type Manager struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	models presetModels // shared per-preset library and variation model
+
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	idem   map[string]string // idempotency key → job ID, lifetime = the job's

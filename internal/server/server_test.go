@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -14,6 +15,11 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/fixture"
+	"repro/internal/montecarlo"
+	"repro/internal/opt"
+	"repro/internal/yield"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
@@ -174,6 +180,94 @@ func TestJobLifecycle(t *testing.T) {
 	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", nil)
 	if code != http.StatusOK || !bytes.Contains(body, []byte(st.ID)) {
 		t.Errorf("listing: code %d, body %s", code, body)
+	}
+}
+
+// TestDeterministicJobMatchesInProcess submits s432 as a bench netlist
+// to the deterministic optimizer twice — the second job reuses the
+// preset library and variation model the first one built — and
+// requires each outcome, apart from the wall-clock runtime, to equal
+// the in-process flow bit for bit on a design with its own library and
+// variation model.
+func TestDeterministicJobMatchesInProcess(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	req := Request{Netlist: c432Netlist(t), Format: "bench", Name: "s432",
+		Optimizer: "deterministic", MCSamples: 200}
+	want := inProcessDeterministic(t, req)
+	for i := 0; i < 2; i++ {
+		st := submitJob(t, ts, req)
+		final := pollUntil(t, ts, st.ID, 2*time.Minute, func(s Status) bool { return s.State.Terminal() })
+		if final.State != StateDone {
+			t.Fatalf("job %d ended %q (err %q), want done", i+1, final.State, final.Error)
+		}
+		code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
+		if code != http.StatusOK {
+			t.Fatalf("result: got %d, body %s", code, body)
+		}
+		var got Outcome
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("result decode: %v", err)
+		}
+		got.RuntimeSec = 0
+		if !reflect.DeepEqual(got, want) {
+			wb, _ := json.Marshal(want) // plain data: Marshal cannot fail
+			t.Fatalf("job %d outcome differs from the in-process flow:\n daemon     %s\n in-process %s", i+1, body, wb)
+		}
+	}
+}
+
+// inProcessDeterministic computes req's outcome with the library calls
+// the daemon documents: parse, bind to a fresh default library and
+// variation model, Tmax = 1.3·Dmin, the deterministic optimizer, the
+// statistical scoreboard, and a seed-1 Monte Carlo scoreboard.
+func inProcessDeterministic(t *testing.T, req Request) Outcome {
+	t.Helper()
+	ctx := context.Background()
+	c, err := bench.ParseString(req.Name, req.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := fixture.DefaultEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDesign(c, env.Lib, env.Var)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmin, err := opt.MinimumDelayCtx(ctx, d.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := opt.DefaultOptions(1.3 * dmin)
+	dr, err := opt.DeterministicCtx(ctx, d, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := opt.EvaluateStatisticalCtx(ctx, d, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.Result = *dr
+	mc, err := montecarlo.RunCtx(ctx, d, montecarlo.Config{Samples: req.MCSamples, Seed: 1, TmaxPs: o.TmaxPs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := yield.TimingIS(mc, o.TmaxPs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Outcome{
+		Optimizer: req.Optimizer, Circuit: req.Name, Gates: d.Circuit.NumGates(), TmaxPs: o.TmaxPs,
+		Feasible: sr.Feasible, Moves: sr.Moves, SizeUps: sr.SizeUps, VthSwaps: sr.VthSwaps, SizeDowns: sr.SizeDowns,
+		YieldAtTmax: sr.YieldAtTmax, LeakMeanNW: sr.LeakMeanNW, LeakPctNW: sr.LeakPctNW,
+		NominalLeakNW: sr.NominalLeakNW, DelayMeanPs: sr.DelayMeanPs, DelaySigmaPs: sr.DelaySigmaPs,
+		NominalDelayPs: sr.NominalDelayPs,
+		MC: &MCOutcome{
+			Samples: req.MCSamples, TimingYield: est.Yield, LeakMeanNW: mc.LeakMean(),
+			LeakQ99NW: mc.LeakQuantile(0.99), DelayMeanPs: mc.DelayMean(),
+			DelayQEtaPs: mc.DelayQuantile(o.YieldTarget), YieldTargetQ: o.YieldTarget,
+		},
 	}
 }
 

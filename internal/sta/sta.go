@@ -86,18 +86,26 @@ func AnalyzeDelays(c *logic.Circuit, delays []float64, tmax, dffSetupPs float64)
 	if err != nil {
 		return nil, err
 	}
+	r := &Result{}
+	AnalyzeInto(r, c, order, delays, tmax, dffSetupPs)
+	return r, nil
+}
+
+// AnalyzeInto is AnalyzeDelays writing into r, whose slices are reused
+// when their capacity suffices; order must be a topological order of
+// the circuit. Every field of r is overwritten, so r's previous
+// contents never leak into the result.
+func AnalyzeInto(r *Result, c *logic.Circuit, order []int, delays []float64, tmax, dffSetupPs float64) {
 	n := c.NumNodes()
-	r := &Result{
-		Arrival:     make([]float64, n),
-		Required:    make([]float64, n),
-		Slack:       make([]float64, n),
-		MaxDelay:    0,
-		WorstOutput: -1,
-	}
+	r.Arrival = resize(r.Arrival, n)
+	r.Required = resize(r.Required, n)
+	r.Slack = resize(r.Slack, n)
+	r.MaxDelay, r.WorstOutput = 0, -1
 	for _, id := range order {
 		g := c.Gate(id)
 		switch g.Type {
 		case logic.Input:
+			r.Arrival[id] = 0
 			continue
 		case logic.Dff:
 			r.Arrival[id] = delays[id] // launch: clock edge + clk-to-Q
@@ -153,7 +161,15 @@ func AnalyzeDelays(c *logic.Circuit, delays []float64, tmax, dffSetupPs float64)
 	for i := range r.Slack {
 		r.Slack[i] = r.Required[i] - r.Arrival[i]
 	}
-	return r, nil
+}
+
+// resize returns s with length n, reallocated only when its capacity
+// is short.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // WorstSlack returns the minimum slack over all nodes.
