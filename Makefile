@@ -6,19 +6,21 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet gofmt statleaklint lint-sarif build test race scenario chaos isle bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet gofmt statleaklint unreferenced lint-sarif build test race scenario chaos isle bench bench-json experiments-output fuzz daemon
 
 ci: lint build test race scenario chaos isle fuzz
 
-# lint = go vet, the gofmt check, and the repository's own analyzer
-# suite. statleaklint enforces the engine's determinism/move-discipline/
-# concurrency invariants; the -suppressions pass fails on any
-# //lint:ignore whose reason is missing. See DESIGN.md §"Static
-# analysis" and internal/analysis/.
-lint: vet gofmt statleaklint
+# lint = go vet, the gofmt check, the repository's own analyzer
+# suite, and the unreferenced-function guard. statleaklint enforces the
+# engine's determinism/move-discipline/concurrency invariants; the
+# -suppressions pass fails on any //lint:ignore whose reason is
+# missing. See DESIGN.md §"Static analysis" and internal/analysis/.
+lint: vet gofmt statleaklint unreferenced
 
+# vet covers the module and the separate perfbench module.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 # gofmt fails on any Go file gofmt would rewrite, outside the analyzer
 # fixtures (testdata/, deliberately hand-laid-out) and the benchmark's
@@ -30,6 +32,12 @@ gofmt:
 statleaklint:
 	$(GO) run ./cmd/statleaklint ./...
 	$(GO) run ./cmd/statleaklint -suppressions ./... >/dev/null
+
+# unreferenced fails on any function or method that no non-test file
+# of the module or of perfbench references (allowlist and reasons in
+# the test). -count=1: the test reads sources go test cannot track.
+unreferenced:
+	$(GO) test -count=1 -run TestNoUnreferencedFuncs ./internal/analysis/statleaklint
 
 # lint-sarif emits the machine-readable report CI uploads (suppressed
 # findings included, marked inSource).
@@ -52,9 +60,9 @@ race:
 scenario:
 	$(GO) test -race -run 'TestFamily|TestScenario|TestCornerView|TestNominalMatrix' ./internal/engine ./internal/scenario ./internal/core ./internal/opt
 
-# chaos runs the fault-injection suite — server.FailPoints panics,
-# hangs, and transient errors driving the worker pool's recovery,
-# deadline, and retry/backoff policy — under the race detector. The
+# chaos runs the fault-injection suite — server.FailPoints panics and
+# hangs driving the worker pool's recovery, deadline, and retry/backoff
+# policy — under the race detector. The
 # same tests ride along in test/race; the dedicated target is the
 # fast iteration loop for the job path (see DESIGN.md §8).
 chaos:

@@ -14,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/fixture"
@@ -226,7 +227,7 @@ func BenchmarkSSTAIncrementalUpdate(b *testing.B) {
 // the two is the engine's per-move speedup (recorded in
 // EXPERIMENTS.md).
 func BenchmarkEngineIncrementalVsFull(b *testing.B) {
-	setup := func(b *testing.B) (*engine.Engine, []engine.Move) {
+	setup := func(b *testing.B) (*core.Design, *engine.Engine, []engine.Move) {
 		d, err := fixture.Suite("s1908")
 		if err != nil {
 			b.Fatal(err)
@@ -246,11 +247,11 @@ func BenchmarkEngineIncrementalVsFull(b *testing.B) {
 				moves = append(moves, up)
 			}
 		}
-		return e, moves
+		return d, e, moves
 	}
 
 	b.Run("incremental", func(b *testing.B) {
-		e, moves := setup(b)
+		_, e, moves := setup(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -271,8 +272,7 @@ func BenchmarkEngineIncrementalVsFull(b *testing.B) {
 	})
 
 	b.Run("full", func(b *testing.B) {
-		e, moves := setup(b)
-		d := e.Design()
+		d, _, moves := setup(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 package analysis
 
-// Package-level call graph with the three interprocedural facts the
+// Package-level call graph with the two interprocedural facts the
 // concurrency analyzers need. The per-function AST walks of the
 // original suite judge one body at a time; the PR 4–6 invariants
 // (ctx-dominated round loops, goroutine stop signals, no blocking
@@ -8,9 +8,6 @@ package analysis
 // framework builds one static call graph per package and hands it to
 // every Pass:
 //
-//   - FlowsIntoGoroutine: the function is launched by a go statement
-//     (directly, or called — transitively — from a go'd closure), so
-//     its body executes concurrently with its spawner.
 //   - MayBlock: the function contains, or reaches a function that
 //     contains, a blocking operation (channel send/receive, select
 //     without default, WaitGroup/Cond Wait, time.Sleep, net/http
@@ -42,14 +39,12 @@ type CGNode struct {
 	Callees []*types.Func
 
 	// direct (single-body) facts
-	goDirect     bool // named as the target of a go statement, or called from a go'd closure
 	blocksDirect bool
 	stopDirect   bool
 
 	// transitive facts, computed once per graph
-	goReachable bool
-	mayBlock    bool
-	hasStop     bool
+	mayBlock bool
+	hasStop  bool
 }
 
 // CallGraph is the package-level static call graph RunAnalyzers builds
@@ -66,14 +61,6 @@ func (g *CallGraph) Node(fn *types.Func) *CGNode {
 		return nil
 	}
 	return g.nodes[fn]
-}
-
-// FlowsIntoGoroutine reports whether fn can execute on a goroutine
-// spawned in this package: it is the target of a go statement, called
-// from a go'd closure, or reachable from either through static calls.
-func (g *CallGraph) FlowsIntoGoroutine(fn *types.Func) bool {
-	n := g.Node(fn)
-	return n != nil && n.goReachable
 }
 
 // MayBlock reports whether fn contains or reaches a blocking
@@ -157,11 +144,10 @@ func BuildCallGraph(lp *LoadedPackage) *CallGraph {
 	return g
 }
 
-// analyzeBody records node's synchronous callees and direct facts, and
-// marks goroutine entry points for every go statement in the body.
-// Subtrees under `go` run on another goroutine: their calls become
-// goroutine roots instead of synchronous edges, and their blocking ops
-// do not make the spawner blocking.
+// analyzeBody records node's synchronous callees and direct facts.
+// Subtrees under `go` run on another goroutine: their calls are not
+// synchronous edges, and their blocking ops do not make the spawner
+// blocking.
 func (g *CallGraph) analyzeBody(node *CGNode, body *ast.BlockStmt) {
 	seen := make(map[*types.Func]bool)
 	var walk func(n ast.Node)
@@ -169,7 +155,6 @@ func (g *CallGraph) analyzeBody(node *CGNode, body *ast.BlockStmt) {
 		ast.Inspect(root, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				g.markGoRoots(n)
 				// The go'd call's *arguments* evaluate synchronously on
 				// the spawner; the function itself does not.
 				for _, arg := range n.Call.Args {
@@ -217,26 +202,6 @@ func (g *CallGraph) analyzeBody(node *CGNode, body *ast.BlockStmt) {
 	}
 }
 
-// markGoRoots marks the goroutine entry points a go statement creates:
-// the named same-package function it launches, or every same-package
-// function its closure literal calls.
-func (g *CallGraph) markGoRoots(gs *ast.GoStmt) {
-	if lit, ok := Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := StaticCallee(g.info, call); fn != nil && g.nodes[fn] != nil {
-					g.nodes[fn].goDirect = true
-				}
-			}
-			return true
-		})
-		return
-	}
-	if fn := StaticCallee(g.info, gs.Call); fn != nil && g.nodes[fn] != nil {
-		g.nodes[fn].goDirect = true
-	}
-}
-
 // propagate computes the transitive facts by fixpoint over the static
 // edges. The graph is small (one package), so the simple iteration is
 // plenty.
@@ -244,10 +209,6 @@ func (g *CallGraph) propagate() {
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.nodes {
-			if !n.goReachable && n.goDirect {
-				n.goReachable = true
-				changed = true
-			}
 			if !n.mayBlock && n.blocksDirect {
 				n.mayBlock = true
 				changed = true
@@ -260,10 +221,6 @@ func (g *CallGraph) propagate() {
 				c := g.nodes[callee]
 				if c == nil {
 					continue
-				}
-				if n.goReachable && !c.goReachable {
-					c.goReachable = true
-					changed = true
 				}
 				if c.mayBlock && !n.mayBlock {
 					n.mayBlock = true

@@ -19,11 +19,12 @@
 // captures a *core.Design outlives every commit, revert and Refresh
 // the driver performs between calls, so the pointer is a standing
 // invitation to read state the engine is mid-way through changing.
-// The sanctioned handle is the *engine.Engine itself: a callback that
-// needs design state calls e.Design() at call time (and gets the
-// post-commit view the engine vouches for). Rebinding a captured
-// variable — bestState = d.Clone() incumbent bookkeeping — stays
-// legal: writing the variable is not touching shared state.
+// The sanctioned handle is the *engine.Family the driver commits
+// through: a callback that needs design state calls f.Design() at call
+// time (and gets the post-commit view the family vouches for).
+// Rebinding a captured variable — bestState = d.Clone() incumbent
+// bookkeeping — stays legal: writing the variable is not touching
+// shared state.
 package ctxclone
 
 import (
@@ -73,9 +74,9 @@ var ImmutableFields = map[typeKey]map[string]bool{
 // callback literals get the capture discipline, and PolicyHandles the
 // shared types they may capture: the evaluation handles the driver
 // keeps current between rounds — the engine and the corner family.
-// Their accessors are the sanctioned window onto evaluation state; a
-// per-corner context pulled out of a Family (f.Engines()[k]) is NOT
-// such a handle and must not be held across rounds.
+// Their accessors are the sanctioned window onto evaluation state. A
+// Family's per-corner engines are unexported, so no policy can hold
+// one.
 var (
 	PolicyPath    = "repro/internal/search"
 	PolicyType    = "Policy"
@@ -85,24 +86,14 @@ var (
 	}
 )
 
-// FamilyCornerAccessors are the engine.Family methods that hand out
-// per-corner evaluation contexts. A variable bound from one of them is
-// corner state, not a driver handle, even though its static type
-// (*engine.Engine) would otherwise pass the policy-handle check.
-var FamilyCornerAccessors = map[string]bool{
-	"Engines": true,
-	"Primary": true,
-}
-
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
-		corner := cornerContextVars(pass, f)
 		policyLits := analysis.CompositeFuncLits(pass, f, PolicyPath, PolicyType)
 		for lit := range policyLits {
-			checkCaptures(pass, lit, policyMode, corner)
+			checkCaptures(pass, lit, policyMode)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -110,7 +101,7 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			if lit, ok := analysis.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-				checkCaptures(pass, lit, workerMode, nil)
+				checkCaptures(pass, lit, workerMode)
 			}
 			return true
 		})
@@ -144,68 +135,15 @@ const (
 	workerMode checkMode = iota
 	// policyMode: a search.Policy callback. Single-goroutine, but the
 	// closure outlives every commit/revert/Refresh between calls, so
-	// captured evaluation state goes stale; the engine handle is the
-	// sanctioned window, and rebinding a captured variable is legal.
+	// captured evaluation state goes stale; the engine or family handle
+	// is the sanctioned window, and rebinding a captured variable is
+	// legal.
 	policyMode
 )
 
-// cornerContextVars collects the file's variables bound from a
-// Family's per-corner accessors (f.Engines()[k], f.Primary()): the
-// taint set the policy check consults so a corner engine cannot pose
-// as the driver handle.
-func cornerContextVars(pass *analysis.Pass, f *ast.File) map[*types.Var]bool {
-	var out map[*types.Var]bool
-	mark := func(lhs ast.Expr) {
-		if id, ok := analysis.Unparen(lhs).(*ast.Ident); ok {
-			if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-				if out == nil {
-					out = make(map[*types.Var]bool)
-				}
-				out[v] = true
-			}
-		}
-	}
-	fromCorner := func(rhs ast.Expr) bool {
-		found := false
-		ast.Inspect(rhs, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || !FamilyCornerAccessors[sel.Sel.Name] {
-				return true
-			}
-			if tv, ok := pass.TypesInfo.Types[sel.X]; ok {
-				if k := sharedKey(tv.Type); k == (typeKey{"repro/internal/engine", "Family"}) {
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-		return found
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if i < len(as.Rhs) && fromCorner(as.Rhs[i]) {
-				mark(lhs)
-			} else if len(as.Rhs) == 1 && len(as.Lhs) > 1 && fromCorner(as.Rhs[0]) {
-				mark(lhs)
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // checkCaptures flags captured shared state used outside the clone
 // path inside one closure.
-func checkCaptures(pass *analysis.Pass, lit *ast.FuncLit, mode checkMode, corner map[*types.Var]bool) {
+func checkCaptures(pass *analysis.Pass, lit *ast.FuncLit, mode checkMode) {
 	reported := make(map[token.Pos]bool)
 	analysis.WithStack(lit.Body, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -232,18 +170,8 @@ func checkCaptures(pass *analysis.Pass, lit *ast.FuncLit, mode checkMode, corner
 		if key == (typeKey{}) {
 			return true
 		}
-		if mode == policyMode {
-			if corner[obj] {
-				reported[id.Pos()] = true
-				pass.Reportf(id.Pos(), "search policy captures shared %s.%s %q: read evaluation state through the engine handle at call time (e.Design()) instead of holding a pointer across rounds", shortPath(key.path), key.name, id.Name)
-				return true
-			}
-			if PolicyHandles[key] {
-				return true
-			}
-			if rebinding(id, stack) {
-				return true
-			}
+		if mode == policyMode && (PolicyHandles[key] || rebinding(id, stack)) {
+			return true
 		}
 		if allowedUse(pass, key, id, stack) {
 			return true
@@ -251,7 +179,7 @@ func checkCaptures(pass *analysis.Pass, lit *ast.FuncLit, mode checkMode, corner
 		reported[id.Pos()] = true
 		switch mode {
 		case policyMode:
-			pass.Reportf(id.Pos(), "search policy captures shared %s.%s %q: read evaluation state through the engine handle at call time (e.Design()) instead of holding a pointer across rounds", shortPath(key.path), key.name, id.Name)
+			pass.Reportf(id.Pos(), "search policy captures shared %s.%s %q: read evaluation state through the family handle at call time (f.Design()) instead of holding a pointer across rounds", shortPath(key.path), key.name, id.Name)
 		default:
 			pass.Reportf(id.Pos(), "worker goroutine captures shared %s.%s %q: route it through the engine clone path (Clone/CloneFor) or snapshot immutable context before the fan-out", shortPath(key.path), key.name, id.Name)
 		}

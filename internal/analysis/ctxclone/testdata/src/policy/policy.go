@@ -26,14 +26,14 @@ func badPolicy(e *engine.Engine, d *core.Design) search.Policy {
 
 func use(*core.Design) {}
 
-func goodPolicy(e *engine.Engine) (search.Policy, func() *core.Design) {
+func goodPolicy(f *engine.Family) (search.Policy, func() *core.Design) {
 	var best *core.Design
 	p := search.Policy{
 		Optimizer: "fixture",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			// The engine handle is the sanctioned window: a call-time
+			// The family handle is the sanctioned window: a call-time
 			// fetch sees the post-commit state the driver vouches for.
-			d := e.Design()
+			d := f.Design()
 			use(d)
 			return nil, nil
 		},
@@ -41,7 +41,7 @@ func goodPolicy(e *engine.Engine) (search.Policy, func() *core.Design) {
 		Accepted: func(mv engine.Move, t *search.Tally) error {
 			// Rebinding a captured variable is incumbent bookkeeping, not
 			// a touch of the state it used to point to.
-			best = e.Design().Clone()
+			best = f.Design().Clone()
 			return nil
 		},
 	}
@@ -57,21 +57,6 @@ func familyPolicy(f *engine.Family) search.Policy {
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
 			use(f.Design())
 			return nil, nil
-		},
-		Verify: func() (bool, error) { return true, nil },
-	}
-}
-
-// cornerCapture: pulling one corner's engine out of the family and
-// holding it across rounds is exactly the stale-context bug the rule
-// exists for — the family commits and replays through its own path.
-func cornerCapture(f *engine.Family) search.Policy {
-	corner := f.Engines()[0]
-	return search.Policy{
-		Optimizer: "fixture",
-		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			_, err := corner.Yield() // want `search policy captures shared engine\.Engine "corner"`
-			return nil, err
 		},
 		Verify: func() (bool, error) { return true, nil },
 	}

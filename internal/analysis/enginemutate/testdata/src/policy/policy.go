@@ -13,11 +13,11 @@ import (
 	"repro/internal/tech"
 )
 
-func badPolicy(e *engine.Engine) search.Policy {
+func badPolicy(f *engine.Family) search.Policy {
 	return search.Policy{
 		Optimizer: "fixture",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			d := e.Design()
+			d := f.Design()
 			if err := d.SetVth(0, tech.HighVth); err != nil { // want `core\.Design\.SetVth bypasses the live engine's move log`
 				return nil, err
 			}
@@ -25,7 +25,7 @@ func badPolicy(e *engine.Engine) search.Policy {
 		},
 		Verify: func() (bool, error) { return true, nil },
 		Accepted: func(mv engine.Move, t *search.Tally) error {
-			e.Design().CopyAssignmentFrom(nil) // want `core\.Design\.CopyAssignmentFrom bypasses the live engine's move log`
+			f.Design().CopyAssignmentFrom(nil) // want `core\.Design\.CopyAssignmentFrom bypasses the live engine's move log`
 			return nil
 		},
 	}

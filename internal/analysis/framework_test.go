@@ -129,9 +129,6 @@ func TestCallGraphFacts(t *testing.T) {
 		t.Fatalf("function %s not in call graph", name)
 		return nil
 	}
-	if n := fn("drain"); !g.FlowsIntoGoroutine(n.Fn) {
-		t.Errorf("drain should flow into a goroutine (go s.drain())")
-	}
 	if n := fn("drain"); !g.MayBlock(n.Fn) || !g.HasStopSignal(n.Fn) {
 		t.Errorf("drain ranges over a channel: MayBlock and HasStopSignal should hold")
 	}
@@ -144,9 +141,9 @@ func TestCallGraphFacts(t *testing.T) {
 	if n := fn("ctxed"); !g.HasStopSignal(n.Fn) {
 		t.Errorf("ctxed checks ctx.Err(): HasStopSignal should hold")
 	}
-	if n := fn("callsPure"); g.MayBlock(n.Fn) || g.HasStopSignal(n.Fn) || g.FlowsIntoGoroutine(n.Fn) {
-		t.Errorf("callsPure has no concurrency facts, got mayBlock=%v hasStop=%v goReachable=%v",
-			g.MayBlock(n.Fn), g.HasStopSignal(n.Fn), g.FlowsIntoGoroutine(n.Fn))
+	if n := fn("callsPure"); g.MayBlock(n.Fn) || g.HasStopSignal(n.Fn) {
+		t.Errorf("callsPure has no concurrency facts, got mayBlock=%v hasStop=%v",
+			g.MayBlock(n.Fn), g.HasStopSignal(n.Fn))
 	}
 }
 

@@ -20,17 +20,7 @@ func TestLintRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		t.Fatalf("go env GOMOD: %v", err)
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" {
-		t.Fatal("not inside a module")
-	}
-	root := filepath.Dir(gomod)
-
-	pkgs, err := analysis.Load(root, "./...")
+	pkgs, err := analysis.Load(moduleRoot(t), "./...")
 	if err != nil {
 		t.Fatalf("loading repository packages: %v", err)
 	}
@@ -47,4 +37,18 @@ func TestLintRepoClean(t *testing.T) {
 	if len(findings) > 0 {
 		t.Errorf("%d finding(s): fix them or add //lint:ignore with a reason", len(findings))
 	}
+}
+
+// moduleRoot returns the directory of the module's go.mod.
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		t.Fatalf("go env GOMOD: %v", err)
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" {
+		t.Fatal("not inside a module")
+	}
+	return filepath.Dir(gomod)
 }

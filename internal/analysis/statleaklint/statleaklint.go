@@ -1,8 +1,7 @@
-// Package statleaklint registers the nine-analyzer suite that
+// Package statleaklint registers the eight-analyzer suite that
 // mechanically enforces the evaluation engine's determinism,
-// move-discipline (the design changes only through Apply/Revert, and a
-// Family's corners only through the Family), and concurrency-lifecycle
-// invariants. cmd/statleaklint runs it standalone or as a
+// move-discipline (the design changes only through Apply/Revert), and
+// concurrency-lifecycle invariants. cmd/statleaklint runs it standalone or as a
 // `go vet -vettool`; DESIGN.md §"Static analysis" documents each
 // invariant.
 package statleaklint
@@ -13,7 +12,6 @@ import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/enginemutate"
 	"repro/internal/analysis/errdrop"
-	"repro/internal/analysis/familymirror"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/lockscope"
@@ -27,7 +25,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		enginemutate.Analyzer,
 		errdrop.Analyzer,
-		familymirror.Analyzer,
 		floatcmp.Analyzer,
 		goroleak.Analyzer,
 		lockscope.Analyzer,

@@ -71,23 +71,6 @@ func SuiteConfig(name string) (Config, error) {
 	return Config{}, fmt.Errorf("bench: unknown suite circuit %q (have %v)", name, SuiteNames())
 }
 
-// Suite generates the full synthetic ISCAS85-class suite.
-func Suite() ([]*logic.Circuit, error) {
-	out := make([]*logic.Circuit, 0, len(iscas85Suite))
-	for _, e := range iscas85Suite {
-		cfg, err := SuiteConfig(e.name)
-		if err != nil {
-			return nil, err
-		}
-		c, err := Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
 // typeWeights is the gate-type mix of the generator, approximating the
 // NAND/NOR-dominated composition of the ISCAS85 suite.
 var typeWeights = []struct {

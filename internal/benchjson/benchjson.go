@@ -52,19 +52,6 @@ func Tee(sc *bufio.Scanner, w io.Writer) func() (string, bool) {
 	}
 }
 
-// Lines adapts a string slice to the line-source shape Parse expects.
-func Lines(lines []string) func() (string, bool) {
-	i := 0
-	return func() (string, bool) {
-		if i >= len(lines) {
-			return "", false
-		}
-		l := lines[i]
-		i++
-		return l, true
-	}
-}
-
 // Parse consumes lines until the source is exhausted. Non-benchmark
 // lines (PASS, ok, test log output) are skipped; goos/goarch/cpu/pkg
 // headers update the metadata applied to subsequent results.

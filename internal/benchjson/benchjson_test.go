@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseFullRun(t *testing.T) {
-	rep, err := Parse(Lines([]string{
+	rep, err := Parse(lines([]string{
 		"goos: linux",
 		"goarch: amd64",
 		"pkg: repro/internal/engine",
@@ -50,7 +50,7 @@ func TestParseFullRun(t *testing.T) {
 }
 
 func TestParseSkipsNonResultBenchmarkLines(t *testing.T) {
-	rep, err := Parse(Lines([]string{
+	rep, err := Parse(lines([]string{
 		"BenchmarkFoo", // a benchmark logging its own name: odd field count
 		"BenchmarkBar-4\tnotanumber\t12 ns/op",
 		"BenchmarkBaz-4\t100\t12 ns/op",
@@ -64,7 +64,7 @@ func TestParseSkipsNonResultBenchmarkLines(t *testing.T) {
 }
 
 func TestParseRejectsMalformedMeasurement(t *testing.T) {
-	_, err := Parse(Lines([]string{"BenchmarkBad-4\t100\tXX ns/op"}))
+	_, err := Parse(lines([]string{"BenchmarkBad-4\t100\tXX ns/op"}))
 	if err == nil {
 		t.Fatal("want error for malformed measurement value")
 	}
@@ -86,5 +86,18 @@ func TestTeeEchoesLines(t *testing.T) {
 	}
 	if sb.String() != "a\nb\n" {
 		t.Fatalf("lines not echoed: %q", sb.String())
+	}
+}
+
+// lines adapts a string slice to the line-source shape Parse expects.
+func lines(ls []string) func() (string, bool) {
+	i := 0
+	return func() (string, bool) {
+		if i >= len(ls) {
+			return "", false
+		}
+		l := ls[i]
+		i++
+		return l, true
 	}
 }

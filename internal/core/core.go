@@ -214,27 +214,11 @@ func (d *Design) GateDelayWithAt(id int, load, dLnm, dVthV float64) float64 {
 	return d.Lib.DelayWith(g.Type, d.Vth[id], d.Size[id], load, dLnm, dVthV)
 }
 
-// GateDelayDerivs returns ∂delay/∂ΔLeff [ps/nm] and ∂delay/∂ΔVth
-// [ps/V] — the SSTA linearization, taken at the corner's bias point
-// when the view is biased and at the nominal point otherwise.
-func (d *Design) GateDelayDerivs(id int) (dPerNm, dPerV float64) {
-	g := d.Circuit.Gate(id)
-	if d.BiasVth != nil {
-		return d.Lib.DelayDerivsWith(g.Type, d.Vth[id], d.Size[id], d.Load(id), d.BiasVth[id])
-	}
-	return d.Lib.DelayDerivs(g.Type, d.Vth[id], d.Size[id], d.Load(id))
-}
-
-// GateDelayAndDerivs returns GateDelay and GateDelayDerivs together,
-// computing the fanout load once. The SSTA hot loop needs all three
-// per visited node; the load sum is the same value either way, so the
-// results are bitwise those of the two separate calls.
-func (d *Design) GateDelayAndDerivs(id int) (delayPs, dPerNm, dPerV float64) {
-	return d.GateDelayAndDerivsAt(id, d.Load(id))
-}
-
-// GateDelayAndDerivsAt is GateDelayAndDerivs evaluated at a
-// caller-supplied load, for callers that cache the (pure) load sum.
+// GateDelayAndDerivsAt returns the nominal delay [ps] of node id at a
+// caller-supplied load together with ∂delay/∂ΔLeff [ps/nm] and
+// ∂delay/∂ΔVth [ps/V] — the SSTA linearization, taken at the corner's
+// bias point when the view is biased and at the nominal point
+// otherwise. Callers cache the (pure) load sum.
 func (d *Design) GateDelayAndDerivsAt(id int, load float64) (delayPs, dPerNm, dPerV float64) {
 	g := d.Circuit.Gate(id)
 	if d.BiasVth != nil {
@@ -276,17 +260,6 @@ func (d *Design) GateGateLeak(id int) float64 {
 	return d.Lib.GateLeak(g.Type, d.Size[id])
 }
 
-// GateLeakWith returns the exact leakage [nW] under parameter
-// excursions — the Monte Carlo model. Body bias adds to the threshold
-// excursion.
-func (d *Design) GateLeakWith(id int, dLnm, dVthV float64) float64 {
-	g := d.Circuit.Gate(id)
-	if d.BiasVth != nil {
-		dVthV += d.BiasVth[id]
-	}
-	return d.Lib.LeakWith(g.Type, d.Vth[id], d.Size[id], dLnm, dVthV)
-}
-
 // TotalLeak returns the nominal total leakage [nW].
 func (d *Design) TotalLeak() float64 {
 	sum := 0.0
@@ -295,19 +268,6 @@ func (d *Design) TotalLeak() float64 {
 			continue
 		}
 		sum += d.GateLeak(g.ID)
-	}
-	return sum
-}
-
-// Area returns the total relative cell area: Σ size·w(type), a unitless
-// proxy proportional to total transistor width.
-func (d *Design) Area() float64 {
-	sum := 0.0
-	for _, g := range d.Circuit.Gates() {
-		if g.Type == logic.Input {
-			continue
-		}
-		sum += d.Size[g.ID] * tech.LogicalEffort(g.Type) // effort tracks width
 	}
 	return sum
 }

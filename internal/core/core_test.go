@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -188,25 +189,9 @@ func TestCloneIsolation(t *testing.T) {
 func TestIsOutputFastPath(t *testing.T) {
 	d := c17(t)
 	for _, g := range d.Circuit.Gates() {
-		if d.IsOutput(g.ID) != d.Circuit.IsOutput(g.ID) {
+		if d.IsOutput(g.ID) != slices.Contains(d.Circuit.Outputs(), g.ID) {
 			t.Fatalf("IsOutput mismatch for %s", g.Name)
 		}
-	}
-}
-
-func TestAreaGrowsWithSize(t *testing.T) {
-	d := c17(t)
-	a0 := d.Area()
-	for _, g := range d.Circuit.Gates() {
-		if g.Type == logic.Input {
-			continue
-		}
-		if err := d.SetSize(g.ID, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a1 := d.Area(); a1 <= a0 {
-		t.Errorf("Area did not grow: %g <= %g", a1, a0)
 	}
 }
 
@@ -218,9 +203,6 @@ func TestGateDelayWithMatchesNominal(t *testing.T) {
 		}
 		if math.Abs(d.GateDelayWith(g.ID, 0, 0)-d.GateDelay(g.ID)) > 1e-12 {
 			t.Fatalf("GateDelayWith(0,0) != GateDelay for %s", g.Name)
-		}
-		if math.Abs(d.GateLeakWith(g.ID, 0, 0)-d.GateLeak(g.ID)) > 1e-9 {
-			t.Fatalf("GateLeakWith(0,0) != GateLeak for %s", g.Name)
 		}
 	}
 }

@@ -146,13 +146,6 @@ func New(d *core.Design, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Design returns the underlying design. Mutating it directly bypasses
-// the caches; use Apply/Revert.
-func (e *Engine) Design() *core.Design { return e.d }
-
-// Config returns the engine's resolved configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // CornerOffsets returns the (ΔLeff [nm], ΔVth [V]) excursion of the
 // configured corner.
 func (e *Engine) CornerOffsets() (dLnm, dVthV float64) { return e.dLc, e.dVc }
@@ -302,14 +295,6 @@ func (e *Engine) Criticality() ([]float64, error) {
 	return t.Criticality(e.d)
 }
 
-// LeakAnalysis returns the factored moment-matched leakage view.
-func (e *Engine) LeakAnalysis() (*leakage.Analysis, error) {
-	if err := e.ensureAcc(); err != nil {
-		return nil, err
-	}
-	return e.acc.Analysis()
-}
-
 // LeakQuantile returns the p-quantile of total leakage [nW] from the
 // factored accumulator.
 func (e *Engine) LeakQuantile(p float64) (float64, error) {
@@ -322,18 +307,6 @@ func (e *Engine) LeakQuantile(p float64) (float64, error) {
 	}
 	return q, nil
 }
-
-// LeakMean returns the mean total leakage [nW].
-func (e *Engine) LeakMean() (float64, error) {
-	if err := e.ensureAcc(); err != nil {
-		return 0, err
-	}
-	return e.acc.Mean(), nil
-}
-
-// TotalLeak returns the design's nominal total leakage [nW] (no cache
-// involved; a convenience for objective tracking).
-func (e *Engine) TotalLeak() float64 { return e.d.TotalLeak() }
 
 // Corner returns the deterministic corner STA against tmaxPs. The
 // result is engine-owned and refreshed in place: it stays valid until

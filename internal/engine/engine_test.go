@@ -250,11 +250,11 @@ func TestScoreIsNetZero(t *testing.T) {
 		if !ok {
 			continue
 		}
-		q0, err := e.DelayQuantile(e.Config().YieldTarget)
+		q0, err := e.DelayQuantile(e.cfg.YieldTarget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l0, err := e.LeakQuantile(e.Config().LeakPercentile)
+		l0, err := e.LeakQuantile(e.cfg.LeakPercentile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +265,8 @@ func TestScoreIsNetZero(t *testing.T) {
 		}
 		sc := scs[0]
 
-		q1, _ := e.DelayQuantile(e.Config().YieldTarget)
-		l1, _ := e.LeakQuantile(e.Config().LeakPercentile)
+		q1, _ := e.DelayQuantile(e.cfg.YieldTarget)
+		l1, _ := e.LeakQuantile(e.cfg.LeakPercentile)
 		if relErr(q1, q0) > 1e-12 || relErr(l1, l0) > 1e-12 {
 			t.Fatalf("Score changed state: delay %.12g→%.12g, leak %.12g→%.12g", q0, q1, l0, l1)
 		}
@@ -275,8 +275,8 @@ func TestScoreIsNetZero(t *testing.T) {
 		if err := e.Apply(mv); err != nil {
 			t.Fatal(err)
 		}
-		qa, _ := e.DelayQuantile(e.Config().YieldTarget)
-		la, _ := e.LeakQuantile(e.Config().LeakPercentile)
+		qa, _ := e.DelayQuantile(e.cfg.YieldTarget)
+		la, _ := e.LeakQuantile(e.cfg.LeakPercentile)
 		if got, want := sc.DLeakQNW, la-l0; math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 			t.Fatalf("DLeakQNW %.12g, applied delta %.12g", got, want)
 		}

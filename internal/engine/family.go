@@ -131,28 +131,9 @@ func (f *Family) Revert(m Move) error {
 // assignment).
 func (f *Family) Design() *core.Design { return f.base }
 
-// Config returns the primary corner's resolved configuration.
-func (f *Family) Config() Config { return f.engines[0].cfg }
-
 // CornerOffsets returns the primary corner's deterministic process-
 // corner excursion.
 func (f *Family) CornerOffsets() (dLnm, dVthV float64) { return f.engines[0].CornerOffsets() }
-
-// Matrix returns the scenario matrix the family was built from.
-func (f *Family) Matrix() *scenario.Matrix { return f.m }
-
-// NumCorners returns the number of corners.
-func (f *Family) NumCorners() int { return len(f.engines) }
-
-// Names returns the corner names, index-aligned with Engines.
-func (f *Family) Names() []string { return f.names }
-
-// Engines exposes the per-corner engines (read-only: mutate only
-// through Family Apply/Revert/Refresh).
-func (f *Family) Engines() []*Engine { return f.engines }
-
-// Primary returns the corner-0 engine.
-func (f *Family) Primary() *Engine { return f.engines[0] }
 
 // LoadDelay returns the base design's fanout load [fF] and nominal
 // delay [ps] of gate id, bitwise Design.Load and Design.GateDelay of
@@ -184,16 +165,6 @@ func (f *Family) CornerLoadDelay(id int) (loadFF, delayPs float64) {
 	return load, cornerDelayAt(f.base, id, load, e.dLc, e.dVc)
 }
 
-// Refresh rebuilds every corner's caches from the shared assignment.
-func (f *Family) Refresh() error {
-	for i, e := range f.engines {
-		if err := e.Refresh(); err != nil {
-			return fmt.Errorf("engine: corner %q refresh: %w", f.names[i], err)
-		}
-	}
-	return nil
-}
-
 // aggregate collapses per-corner objective values per the matrix's
 // aggregation mode. A single corner passes through untouched.
 func (f *Family) aggregate(per []float64) float64 {
@@ -217,7 +188,7 @@ func (f *Family) aggregate(per []float64) float64 {
 }
 
 // Aggregate collapses per-corner objective values (index-aligned with
-// Engines) per the matrix's aggregation mode — exported for callers
+// the matrix's corners) per the matrix's aggregation mode — exported for callers
 // assembling their own per-corner metrics.
 func (f *Family) Aggregate(per []float64) float64 { return f.aggregate(per) }
 
@@ -306,19 +277,6 @@ func (f *Family) LeakQuantile(p float64) (float64, error) {
 			return 0, err
 		}
 		per[i] = q
-	}
-	return f.aggregate(per), nil
-}
-
-// LeakMean returns the corner-aggregated mean total leakage [nW].
-func (f *Family) LeakMean() (float64, error) {
-	per := make([]float64, len(f.engines))
-	for i, e := range f.engines {
-		m, err := e.LeakMean()
-		if err != nil {
-			return 0, err
-		}
-		per[i] = m
 	}
 	return f.aggregate(per), nil
 }

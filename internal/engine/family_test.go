@@ -86,7 +86,7 @@ func TestFamilyNominalEquivalence(t *testing.T) {
 		if qe != qf {
 			t.Fatalf("step %d: leak q99 %v (engine) != %v (1×1 family)", step, qe, qf)
 		}
-		if e.TotalLeak() != f.TotalLeak() {
+		if e.d.TotalLeak() != f.TotalLeak() {
 			t.Fatalf("step %d: nominal leak diverged", step)
 		}
 	}
@@ -97,8 +97,8 @@ func TestFamilyNominalEquivalence(t *testing.T) {
 // caches against fresh from-scratch analyses of that corner's design.
 func TestFamilyMirrorConsistency(t *testing.T) {
 	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
-	if f.NumCorners() != 4 {
-		t.Fatalf("family has %d corners, want 4", f.NumCorners())
+	if len(f.engines) != 4 {
+		t.Fatalf("family has %d corners, want 4", len(f.engines))
 	}
 	d := f.Design()
 	ids := gateIDs(d)
@@ -119,8 +119,8 @@ func TestFamilyMirrorConsistency(t *testing.T) {
 	}
 
 	const tol = 1e-6
-	for i, e := range f.Engines() {
-		sr, err := ssta.Analyze(e.Design())
+	for i, e := range f.engines {
+		sr, err := ssta.Analyze(e.d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,26 +128,26 @@ func TestFamilyMirrorConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sr.Yield(e.Config().TmaxPs); math.Abs(y-want) > tol {
-			t.Errorf("corner %q: incremental yield %v, fresh %v", f.Names()[i], y, want)
+		if want := sr.Yield(e.cfg.TmaxPs); math.Abs(y-want) > tol {
+			t.Errorf("corner %q: incremental yield %v, fresh %v", f.names[i], y, want)
 		}
 		q, err := e.DelayQuantile(0.99)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := sr.Quantile(0.99); math.Abs(q-want) > tol*want {
-			t.Errorf("corner %q: incremental delay q99 %v, fresh %v", f.Names()[i], q, want)
+			t.Errorf("corner %q: incremental delay q99 %v, fresh %v", f.names[i], q, want)
 		}
 	}
 
 	// The corners must actually disagree — a family where every corner
 	// returns identical numbers is not evaluating the matrix.
-	q0, err := f.Engines()[0].LeakQuantile(0.99)
+	q0, err := f.engines[0].LeakQuantile(0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	distinct := false
-	for _, e := range f.Engines()[1:] {
+	for _, e := range f.engines[1:] {
 		q, err := e.LeakQuantile(0.99)
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestFamilyAggregation(t *testing.T) {
 	perY := make([]float64, 0, 4)
 	perQ := make([]float64, 0, 4)
 	perL := make([]float64, 0, 4)
-	for _, e := range f.Engines() {
+	for _, e := range f.engines {
 		y, err := e.Yield()
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestFamilyAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range f.Engines() {
+	for _, e := range f.engines {
 		s, err := e.StatisticalSlack(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -246,8 +246,8 @@ func TestFamilyRevertRestoresCorners(t *testing.T) {
 	d := f.Design()
 	ids := gateIDs(d)
 
-	before := make([]float64, f.NumCorners())
-	for i, e := range f.Engines() {
+	before := make([]float64, len(f.engines))
+	for i, e := range f.engines {
 		q, err := e.LeakQuantile(0.99)
 		if err != nil {
 			t.Fatal(err)
@@ -279,13 +279,13 @@ func TestFamilyRevertRestoresCorners(t *testing.T) {
 			t.Fatalf("revert left gate %d assignment changed", i)
 		}
 	}
-	for i, e := range f.Engines() {
+	for i, e := range f.engines {
 		q, err := e.LeakQuantile(0.99)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if q != before[i] {
-			t.Errorf("corner %q: leak q %v after revert, want %v", f.Names()[i], q, before[i])
+			t.Errorf("corner %q: leak q %v after revert, want %v", f.names[i], q, before[i])
 		}
 	}
 }
@@ -325,8 +325,8 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 		t.Fatalf("scored %d of %d moves", len(got), len(moves))
 	}
 
-	per := make([][]Score, f.NumCorners())
-	for i, e := range f.Engines() {
+	per := make([][]Score, len(f.engines))
+	for i, e := range f.engines {
 		per[i], err = e.ScoreAllLocalCtx(context.Background(), moves, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -355,7 +355,7 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 // still equal a fresh corner STA of the restored design bit for bit.
 func TestFamilyCornerScoreboard(t *testing.T) {
 	f := testFamily(t, "s432", Config{CornerSigma: 3}, fourCornerSpec(t))
-	if _, err := f.Corner(f.Config().TmaxPs); err != nil {
+	if _, err := f.Corner(f.engines[0].cfg.TmaxPs); err != nil {
 		t.Fatal(err)
 	}
 	d := f.Design()
@@ -376,7 +376,7 @@ func TestFamilyCornerScoreboard(t *testing.T) {
 	if len(cms) != 4 {
 		t.Fatalf("scoreboard has %d rows, want 4", len(cms))
 	}
-	for i, e := range f.Engines() {
+	for i, e := range f.engines {
 		fresh, err := sta.AnalyzeCorner(e.d, e.cfg.TmaxPs, e.cfg.CornerSigma)
 		if err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func stateBits(t *testing.T, e *Engine) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(an.MeanNW, an.StdNW, an.Fit.Mu, an.Fit.Sigma, an.GateLeakNW, e.acc.Mean())
+	add(an.MeanNW, an.StdNW, an.Fit.Mu, an.Fit.Sigma, an.GateLeakNW, e.acc.M)
 	return append(out, timingBits(t, e)...)
 }
 

@@ -26,7 +26,7 @@ func timingBits(t *testing.T, e *Engine) []uint64 {
 			out = append(out, math.Float64bits(v))
 		}
 	}
-	for id := 0; id < r.NumNodes(); id++ {
+	for id := 0; id < e.d.Circuit.NumNodes(); id++ {
 		a := r.Arrival(id)
 		add(a.Mean, a.Rand)
 		add(a.Sens...)
@@ -54,7 +54,7 @@ func checkCaches(t *testing.T, e *Engine, label string) {
 		t.Fatal(err)
 	}
 	r := e.inc.Result()
-	for id := 0; id < r.NumNodes(); id++ {
+	for id := 0; id < d.Circuit.NumNodes(); id++ {
 		got, want := r.Arrival(id), fresh.Arrival(id)
 		if relErr(got.Mean, want.Mean) > 1e-9 || relErr(got.Sigma(), want.Sigma()) > 1e-9 {
 			t.Fatalf("%s: node %d arrival (%v, %v), fresh analysis (%v, %v)",
@@ -163,7 +163,7 @@ func TestRandomSequencesKeepCachesExact(t *testing.T) {
 // runRandomSequence is one TestRandomSequencesKeepCachesExact run.
 func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 	t.Helper()
-	corners := f.NumCorners()
+	corners := len(f.engines)
 	if _, err := f.Yield(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +199,14 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				stack = stack[:len(stack)-1]
 			}
 		case 2:
-			if err := f.Refresh(); err != nil {
-				t.Fatal(err)
-			}
+			refreshAll(t, f)
 		case 3: // a rejected try: apply, then revert (at once, or after a refresh)
 			mv, ok := randomMove(d, ids, rng)
 			if !ok {
 				continue
 			}
 			before := make([][]uint64, corners)
-			for i, e := range f.Engines() {
+			for i, e := range f.engines {
 				before[i] = timingBits(t, e)
 			}
 			updates0, undos0 := incCounts()
@@ -216,11 +214,9 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				t.Fatal(err)
 			}
 			if rng.Intn(3) == 0 {
-				if err := f.Refresh(); err != nil {
-					t.Fatal(err)
-				}
+				refreshAll(t, f)
 			}
-			refreshed := f.Engines()[0].sinceRefresh == 0
+			refreshed := f.engines[0].sinceRefresh == 0
 			if err := f.Revert(mv); err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +226,7 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				undone++
 			}
 			// A drift refresh on the revert itself rebuilds the rows.
-			rebuilt := f.Engines()[0].sinceRefresh == 0
+			rebuilt := f.engines[0].sinceRefresh == 0
 			updates, undos := incCounts()
 			updates, undos = updates-updates0, undos-undos0
 			switch {
@@ -241,7 +237,7 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				t.Fatalf("step %d: immediate revert made %d undos and %d updates, want %d and %d",
 					step, undos, updates, corners, corners)
 			}
-			for i, e := range f.Engines() {
+			for i, e := range f.engines {
 				if !refreshed && !rebuilt && !bitsEqual(timingBits(t, e), before[i]) {
 					t.Fatalf("step %d corner %d: timing rows after the undo differ from before the apply", step, i)
 				}
@@ -256,19 +252,27 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				}
 			}
 			d.CopyAssignmentFrom(snap)
-			if err := f.Refresh(); err != nil {
-				t.Fatal(err)
-			}
+			refreshAll(t, f)
 			stack = stack[:0] // the stacked moves no longer match the assignment
 			restored++
 		}
-		for i, e := range f.Engines() {
-			checkCaches(t, e, f.Names()[i])
+		for i, e := range f.engines {
+			checkCaches(t, e, f.names[i])
 		}
 	}
 	if undone == 0 || afterRefresh == 0 || restored == 0 {
 		t.Fatalf("%d corners: %d undone tries, %d tries across a refresh and %d restores; the sequence must exercise all three",
 			corners, undone, afterRefresh, restored)
+	}
+}
+
+// refreshAll rebuilds every corner's caches from the shared assignment.
+func refreshAll(t *testing.T, f *Family) {
+	t.Helper()
+	for _, e := range f.engines {
+		if err := e.Refresh(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

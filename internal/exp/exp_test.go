@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/opt"
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/tech"
 )
@@ -80,6 +82,94 @@ func TestTable1FullSuite(t *testing.T) {
 	if want += "\n\n"; got.String() != want {
 		t.Errorf("Table 1 differs from the first block of experiments_output.txt\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
+}
+
+// TestTables2To4MatchCommittedOutput renders Tables 2, 3 and 4 with
+// the settings `make experiments-output` uses (-benchmarks s432,s880
+// -samples 500) and requires every cell to equal its block in the
+// committed experiments_output.txt, except the wall-clock columns.
+// This pins the deterministic and statistical optimizers' outcomes
+// and the analytic-vs-Monte-Carlo errors the paper's tables report.
+func TestTables2To4MatchCommittedOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	committed, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(string(committed), "\n\n")
+	ctx := NewContext(io.Discard)
+	ctx.Benchmarks = []string{"s432", "s880"}
+	ctx.MCSamples = 500
+	for _, tc := range []struct {
+		table     func() (*report.Table, error)
+		wallClock []string
+	}{
+		{ctx.Table2, []string{"time"}},
+		{ctx.Table3, nil},
+		{ctx.Table4, []string{"analytic [ms]", "MC [ms]", "speedup"}},
+	} {
+		tb, err := tc.table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := tb.Render(&got); err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(blocks, func(b string) bool { return strings.HasPrefix(b, tb.Title+"\n") })
+		if i < 0 {
+			t.Errorf("experiments_output.txt has no block titled %q", tb.Title)
+			continue
+		}
+		var masked []int
+		for _, col := range tc.wallClock {
+			if j := slices.Index(tb.Columns, col); j >= 0 {
+				masked = append(masked, j)
+			} else {
+				t.Fatalf("%s has no column %q", tb.Title, col)
+			}
+		}
+		gotLines, wantLines := tableCells(got.String(), masked), tableCells(blocks[i], masked)
+		if len(gotLines) != len(wantLines) {
+			t.Errorf("%s: %d lines, committed %d\n got:\n%s\nwant:\n%s", tb.Title, len(gotLines), len(wantLines), got.String(), blocks[i])
+			continue
+		}
+		for k := range gotLines {
+			if !slices.Equal(gotLines[k], wantLines[k]) {
+				t.Errorf("%s line %d: got %q, committed %q", tb.Title, k, gotLines[k], wantLines[k])
+			}
+		}
+	}
+}
+
+// tableCells splits a rendered table into lines: a table row becomes
+// its trimmed cells with the masked columns blanked, any other line
+// stays whole. The dash rule is dropped, since its widths follow the
+// masked cells.
+func tableCells(block string, masked []int) [][]string {
+	var out [][]string
+	for _, line := range strings.Split(strings.TrimRight(block, "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "|-"):
+		case strings.HasPrefix(line, "|"):
+			cells := strings.Split(line, "|")
+			cells = cells[1 : len(cells)-1]
+			for j := range cells {
+				cells[j] = strings.TrimSpace(cells[j])
+			}
+			if len(out) > 1 { // below the header
+				for _, j := range masked {
+					cells[j] = ""
+				}
+			}
+			out = append(out, cells)
+		default:
+			out = append(out, []string{line})
+		}
+	}
+	return out
 }
 
 // TestTable3HeadlineShape asserts the paper's headline claim on s432

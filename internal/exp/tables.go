@@ -9,7 +9,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/report"
 	"repro/internal/ssta"
-	"repro/internal/sta"
 )
 
 // Table1 reports the benchmark suite characteristics: size, depth,
@@ -175,13 +174,4 @@ func (ctx *Context) Table4() (*report.Table, error) {
 	}
 	t.AddNote("errors are analytic vs MC, signed; σ errors reflect Clark/Wilkinson approximations")
 	return t, nil
-}
-
-// NominalSTARow is used by Table1 helpers in tests.
-func NominalSTARow(pr *Prepared) (float64, error) {
-	r, err := sta.Analyze(pr.Base, pr.TmaxPs)
-	if err != nil {
-		return 0, err
-	}
-	return r.MaxDelay, nil
 }

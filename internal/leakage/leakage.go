@@ -51,11 +51,6 @@ func (a *Analysis) Quantile(p float64) float64 {
 	return a.GateLeakNW + a.Fit.Quantile(p)
 }
 
-// CDF returns P(total ≤ x).
-func (a *Analysis) CDF(x float64) float64 {
-	return a.Fit.CDF(x - a.GateLeakNW)
-}
-
 // exponent carries the (assignment-independent) exponent statistics of
 // one gate: loading onto the globals and the independent variance. The
 // two exp factors every accumulator update needs are precomputed here
@@ -240,8 +235,6 @@ type Accumulator struct {
 // mean contribution, diagonal exponent factor, gate-leak offset.
 const pgStride = 3
 
-func (a *Accumulator) numGates() int { return len(a.pg) / pgStride }
-
 // NewAccumulator builds the factored state for the design's current
 // assignment.
 func NewAccumulator(d *core.Design) (*Accumulator, error) {
@@ -405,10 +398,3 @@ func (a *Accumulator) Quantile(p float64) float64 {
 	}
 	return an.Quantile(p)
 }
-
-// Mean returns the current mean total leakage [nW].
-func (a *Accumulator) Mean() float64 { return a.gateLeak + a.M }
-
-// NominalTotal returns the design's nominal (no-variation) leakage
-// [nW], for reporting the nominal-vs-statistical gap.
-func NominalTotal(d *core.Design) float64 { return d.TotalLeak() }

@@ -1,4 +1,4 @@
-// Package libfile reads and writes technology parameter files — a
+// Package libfile reads technology parameter files — a
 // deliberately tiny, line-oriented stand-in for the Liberty (.lib)
 // characterization data the paper's flow would consume. A file
 // overrides fields of a base parameter set (by default the built-in
@@ -28,28 +28,23 @@ import (
 	"repro/internal/tech"
 )
 
-// field binds a key to a float64 slot of tech.Params.
-type field struct {
-	get func(*tech.Params) float64
-	set func(*tech.Params, float64)
-}
-
-var fields = map[string]field{
-	"vdd":          {func(p *tech.Params) float64 { return p.Vdd }, func(p *tech.Params, v float64) { p.Vdd = v }},
-	"leff_nm":      {func(p *tech.Params) float64 { return p.LeffNom }, func(p *tech.Params, v float64) { p.LeffNom = v }},
-	"vth_low":      {func(p *tech.Params) float64 { return p.VthLow }, func(p *tech.Params, v float64) { p.VthLow = v }},
-	"vth_high":     {func(p *tech.Params) float64 { return p.VthHigh }, func(p *tech.Params, v float64) { p.VthHigh = v }},
-	"alpha":        {func(p *tech.Params) float64 { return p.Alpha }, func(p *tech.Params, v float64) { p.Alpha = v }},
-	"subswing":     {func(p *tech.Params) float64 { return p.SubSwing }, func(p *tech.Params, v float64) { p.SubSwing = v }},
-	"kroll":        {func(p *tech.Params) float64 { return p.KRoll }, func(p *tech.Params, v float64) { p.KRoll = v }},
-	"tau0_ps":      {func(p *tech.Params) float64 { return p.Tau0Ps }, func(p *tech.Params, v float64) { p.Tau0Ps = v }},
-	"cin_unit_ff":  {func(p *tech.Params) float64 { return p.CinUnitFF }, func(p *tech.Params, v float64) { p.CinUnitFF = v }},
-	"i0_leak_na":   {func(p *tech.Params) float64 { return p.I0LeakNA }, func(p *tech.Params, v float64) { p.I0LeakNA = v }},
-	"gate_leak_nw": {func(p *tech.Params) float64 { return p.GateLeakNW }, func(p *tech.Params, v float64) { p.GateLeakNW = v }},
-	"wire_cap_ff":  {func(p *tech.Params) float64 { return p.WireCapPerFanoutFF }, func(p *tech.Params, v float64) { p.WireCapPerFanoutFF = v }},
-	"po_load_ff":   {func(p *tech.Params) float64 { return p.POLoadFF }, func(p *tech.Params, v float64) { p.POLoadFF = v }},
-	"dff_setup_ps": {func(p *tech.Params) float64 { return p.DffSetupPs }, func(p *tech.Params, v float64) { p.DffSetupPs = v }},
-	"temp_c":       {func(p *tech.Params) float64 { return p.TempC }, func(p *tech.Params, v float64) { p.TempC = v }},
+// fields binds each key to the float64 slot of tech.Params it sets.
+var fields = map[string]func(*tech.Params, float64){
+	"vdd":          func(p *tech.Params, v float64) { p.Vdd = v },
+	"leff_nm":      func(p *tech.Params, v float64) { p.LeffNom = v },
+	"vth_low":      func(p *tech.Params, v float64) { p.VthLow = v },
+	"vth_high":     func(p *tech.Params, v float64) { p.VthHigh = v },
+	"alpha":        func(p *tech.Params, v float64) { p.Alpha = v },
+	"subswing":     func(p *tech.Params, v float64) { p.SubSwing = v },
+	"kroll":        func(p *tech.Params, v float64) { p.KRoll = v },
+	"tau0_ps":      func(p *tech.Params, v float64) { p.Tau0Ps = v },
+	"cin_unit_ff":  func(p *tech.Params, v float64) { p.CinUnitFF = v },
+	"i0_leak_na":   func(p *tech.Params, v float64) { p.I0LeakNA = v },
+	"gate_leak_nw": func(p *tech.Params, v float64) { p.GateLeakNW = v },
+	"wire_cap_ff":  func(p *tech.Params, v float64) { p.WireCapPerFanoutFF = v },
+	"po_load_ff":   func(p *tech.Params, v float64) { p.POLoadFF = v },
+	"dff_setup_ps": func(p *tech.Params, v float64) { p.DffSetupPs = v },
+	"temp_c":       func(p *tech.Params, v float64) { p.TempC = v },
 }
 
 // File is the parsed content of a technology file.
@@ -102,7 +97,7 @@ func Parse(r io.Reader, base *tech.Params) (*File, error) {
 			}
 			f.Sizes = sizes
 		default:
-			fl, ok := fields[key]
+			set, ok := fields[key]
 			if !ok {
 				return nil, fmt.Errorf("libfile: line %d: unknown key %q", lineNo, key)
 			}
@@ -113,7 +108,7 @@ func Parse(r io.Reader, base *tech.Params) (*File, error) {
 			if err != nil {
 				return nil, fmt.Errorf("libfile: line %d: bad value %q for %s", lineNo, args[0], key)
 			}
-			fl.set(p, v)
+			set(p, v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -136,28 +131,4 @@ func (f *File) Library() (*tech.Library, error) {
 		lb.Sizes = append([]float64(nil), f.Sizes...)
 	}
 	return lb, nil
-}
-
-// Write emits a technology file capturing the parameter set (and size
-// ladder, if non-nil) so that Parse(Write(f)) round-trips.
-func Write(w io.Writer, f *File) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# statleak technology file\n")
-	fmt.Fprintf(bw, "technology %s\n", f.Params.Name)
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(bw, "%-13s %g\n", k, fields[k].get(f.Params))
-	}
-	if f.Sizes != nil {
-		fmt.Fprintf(bw, "sizes")
-		for _, s := range f.Sizes {
-			fmt.Fprintf(bw, " %g", s)
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
 }

@@ -1,7 +1,7 @@
 package libfile
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -80,18 +80,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestWriteParseRoundTrip(t *testing.T) {
-	orig := &File{Params: tech.Default70nm(), Sizes: []float64{1, 3, 9}}
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
+// TestParseRoundTrip: a file spelling out every key of the 70nm preset
+// parses, over the 100nm base, back to that preset exactly, so each
+// key writes the field it names.
+func TestParseRoundTrip(t *testing.T) {
+	want := tech.Default70nm()
+	values := map[string]float64{
+		"vdd": want.Vdd, "leff_nm": want.LeffNom, "vth_low": want.VthLow, "vth_high": want.VthHigh,
+		"alpha": want.Alpha, "subswing": want.SubSwing, "kroll": want.KRoll, "tau0_ps": want.Tau0Ps,
+		"cin_unit_ff": want.CinUnitFF, "i0_leak_na": want.I0LeakNA, "gate_leak_nw": want.GateLeakNW,
+		"wire_cap_ff": want.WireCapPerFanoutFF, "po_load_ff": want.POLoadFF,
+		"dff_setup_ps": want.DffSetupPs, "temp_c": want.TempC,
 	}
-	back, err := Parse(bytes.NewReader(buf.Bytes()), nil)
+	if len(values) != len(fields) {
+		t.Fatalf("test spells out %d keys, the parser knows %d", len(values), len(fields))
+	}
+	var src strings.Builder
+	fmt.Fprintf(&src, "technology %s\nsizes 1 3 9\n", want.Name)
+	for key, v := range values {
+		fmt.Fprintf(&src, "%s %g\n", key, v)
+	}
+	back, err := Parse(strings.NewReader(src.String()), nil)
 	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, buf.String())
+		t.Fatalf("parse: %v\n%s", err, src.String())
 	}
-	if *back.Params != *orig.Params {
-		t.Errorf("params changed:\n got %+v\nwant %+v", back.Params, orig.Params)
+	if *back.Params != *want {
+		t.Errorf("params changed:\n got %+v\nwant %+v", back.Params, want)
 	}
 	if len(back.Sizes) != 3 || back.Sizes[1] != 3 {
 		t.Errorf("sizes changed: %v", back.Sizes)

@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel the
-// variation model needs: symmetric matrices, Cholesky factorization,
-// and a cyclic Jacobi eigendecomposition. Matrices here are tiny
+// variation model needs: symmetric matrices and a cyclic Jacobi
+// eigendecomposition. Matrices here are tiny
 // (grid-covariance matrices, at most a few hundred rows), so clarity
 // beats blocking/vectorization tricks.
 package linalg
@@ -26,9 +26,6 @@ func NewSym(n int) *Sym {
 	return &Sym{N: n, Data: make([]float64, n*n)}
 }
 
-// At returns element (i,j).
-func (s *Sym) At(i, j int) float64 { return s.Data[i*s.N+j] }
-
 // Set writes element (i,j) and its mirror (j,i).
 func (s *Sym) Set(i, j int, v float64) {
 	s.Data[i*s.N+j] = v
@@ -42,73 +39,6 @@ func (s *Sym) Clone() *Sym {
 	return c
 }
 
-// MulVec computes y = S·x.
-func (s *Sym) MulVec(x []float64) []float64 {
-	if len(x) != s.N {
-		panic(fmt.Sprintf("linalg: MulVec dim %d vs %d", len(x), s.N))
-	}
-	y := make([]float64, s.N)
-	for i := 0; i < s.N; i++ {
-		row := s.Data[i*s.N : (i+1)*s.N]
-		sum := 0.0
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] = sum
-	}
-	return y
-}
-
-// Cholesky computes the lower-triangular L with S = L·Lᵀ. It returns
-// an error if the matrix is not (numerically) positive definite.
-func (s *Sym) Cholesky() (*Lower, error) {
-	n := s.N
-	l := &Lower{N: n, Data: make([]float64, n*n)}
-	for j := 0; j < n; j++ {
-		d := s.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.Data[j*n+k] * l.Data[j*n+k]
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("linalg: Cholesky: leading minor %d not positive (d=%g)", j+1, d)
-		}
-		l.Data[j*n+j] = math.Sqrt(d)
-		for i := j + 1; i < n; i++ {
-			v := s.At(i, j)
-			for k := 0; k < j; k++ {
-				v -= l.Data[i*n+k] * l.Data[j*n+k]
-			}
-			l.Data[i*n+j] = v / l.Data[j*n+j]
-		}
-	}
-	return l, nil
-}
-
-// Lower is a dense lower-triangular matrix (upper triangle zero).
-type Lower struct {
-	N    int
-	Data []float64
-}
-
-// At returns element (i,j).
-func (l *Lower) At(i, j int) float64 { return l.Data[i*l.N+j] }
-
-// MulVec computes y = L·x.
-func (l *Lower) MulVec(x []float64) []float64 {
-	if len(x) != l.N {
-		panic(fmt.Sprintf("linalg: Lower.MulVec dim %d vs %d", len(x), l.N))
-	}
-	y := make([]float64, l.N)
-	for i := 0; i < l.N; i++ {
-		sum := 0.0
-		for j := 0; j <= i; j++ {
-			sum += l.Data[i*l.N+j] * x[j]
-		}
-		y[i] = sum
-	}
-	return y
-}
-
 // Eigen holds the spectral decomposition S = V·diag(Values)·Vᵀ with
 // eigenvalues sorted in descending order; column k of V (i.e.
 // V[i*N+k] over i) is the unit eigenvector for Values[k].
@@ -116,15 +46,6 @@ type Eigen struct {
 	N      int
 	Values []float64
 	V      []float64 // row-major N×N, columns are eigenvectors
-}
-
-// Vector returns eigenvector k as a fresh slice.
-func (e *Eigen) Vector(k int) []float64 {
-	v := make([]float64, e.N)
-	for i := 0; i < e.N; i++ {
-		v[i] = e.V[i*e.N+k]
-	}
-	return v
 }
 
 // EigenSym computes the eigendecomposition of a symmetric matrix with
@@ -230,6 +151,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of a vector.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }

@@ -31,43 +31,20 @@ func randomSPD(rng *rand.Rand, n int) *Sym {
 	return s
 }
 
+// column returns eigenvector k of e.
+func column(e *Eigen, k int) []float64 {
+	v := make([]float64, e.N)
+	for i := range v {
+		v[i] = e.V[i*e.N+k]
+	}
+	return v
+}
+
 func TestSymSetAt(t *testing.T) {
 	s := NewSym(3)
 	s.Set(0, 2, 5)
-	if s.At(0, 2) != 5 || s.At(2, 0) != 5 {
+	if s.Data[0*3+2] != 5 || s.Data[2*3+0] != 5 {
 		t.Error("Set did not mirror")
-	}
-}
-
-func TestCholeskyReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(8)
-		s := randomSPD(rng, n)
-		l, err := s.Cholesky()
-		if err != nil {
-			t.Fatalf("Cholesky: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := 0.0
-				for k := 0; k <= min(i, j); k++ {
-					v += l.At(i, k) * l.At(j, k)
-				}
-				if !almost(v, s.At(i, j), 1e-8*(1+math.Abs(s.At(i, j)))) {
-					t.Fatalf("trial %d: L·Lᵀ(%d,%d) = %g, want %g", trial, i, j, v, s.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	s := NewSym(2)
-	s.Set(0, 0, 1)
-	s.Set(1, 1, -1)
-	if _, err := s.Cholesky(); err == nil {
-		t.Error("Cholesky accepted an indefinite matrix")
 	}
 }
 
@@ -84,7 +61,7 @@ func TestEigenSymKnown(t *testing.T) {
 	if !almost(e.Values[0], 3, 1e-10) || !almost(e.Values[1], 1, 1e-10) {
 		t.Fatalf("eigenvalues = %v, want [3 1]", e.Values)
 	}
-	v0 := e.Vector(0)
+	v0 := column(e, 0)
 	if !almost(math.Abs(v0[0]), math.Sqrt(0.5), 1e-9) || !almost(math.Abs(v0[1]), math.Sqrt(0.5), 1e-9) {
 		t.Errorf("first eigenvector = %v, want ±[1,1]/√2", v0)
 	}
@@ -111,7 +88,7 @@ func TestEigenSymProperties(t *testing.T) {
 		// Trace preserved.
 		tr, sum := 0.0, 0.0
 		for i := 0; i < n; i++ {
-			tr += s.At(i, i)
+			tr += s.Data[i*s.N+i]
 			sum += e.Values[i]
 		}
 		if !almost(tr, sum, 1e-7*(1+math.Abs(tr))) {
@@ -119,18 +96,18 @@ func TestEigenSymProperties(t *testing.T) {
 		}
 		// S·v = λ·v and orthonormal columns.
 		for k := 0; k < n; k++ {
-			v := e.Vector(k)
-			sv := s.MulVec(v)
+			v := column(e, k)
 			for i := 0; i < n; i++ {
-				if !almost(sv[i], e.Values[k]*v[i], 1e-6*(1+math.Abs(sv[i]))) {
-					t.Fatalf("S·v != λ·v for k=%d (i=%d: %g vs %g)", k, i, sv[i], e.Values[k]*v[i])
+				sv := Dot(s.Data[i*n:(i+1)*n], v)
+				if !almost(sv, e.Values[k]*v[i], 1e-6*(1+math.Abs(sv))) {
+					t.Fatalf("S·v != λ·v for k=%d (i=%d: %g vs %g)", k, i, sv, e.Values[k]*v[i])
 				}
 			}
-			if !almost(Norm2(v), 1, 1e-8) {
-				t.Fatalf("eigenvector %d not unit norm: %g", k, Norm2(v))
+			if norm := math.Sqrt(Dot(v, v)); !almost(norm, 1, 1e-8) {
+				t.Fatalf("eigenvector %d not unit norm: %g", k, norm)
 			}
 			for m := k + 1; m < n; m++ {
-				if d := Dot(v, e.Vector(m)); !almost(d, 0, 1e-8) {
+				if d := Dot(v, column(e, m)); !almost(d, 0, 1e-8) {
 					t.Fatalf("eigenvectors %d,%d not orthogonal: %g", k, m, d)
 				}
 			}
@@ -154,7 +131,7 @@ func TestEigenReconstructionProperty(t *testing.T) {
 				for k := 0; k < n; k++ {
 					v += e.V[i*n+k] * e.Values[k] * e.V[j*n+k]
 				}
-				if !almost(v, s.At(i, j), 1e-6*(1+math.Abs(s.At(i, j)))) {
+				if !almost(v, s.Data[i*s.N+j], 1e-6*(1+math.Abs(s.Data[i*s.N+j]))) {
 					return false
 				}
 			}
@@ -166,14 +143,6 @@ func TestEigenReconstructionProperty(t *testing.T) {
 	}
 }
 
-func TestLowerMulVec(t *testing.T) {
-	l := &Lower{N: 2, Data: []float64{2, 0, 3, 4}}
-	y := l.MulVec([]float64{1, 1})
-	if y[0] != 2 || y[1] != 7 {
-		t.Errorf("L·x = %v, want [2 7]", y)
-	}
-}
-
 func TestDotPanicsOnDimMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -181,11 +150,4 @@ func TestDotPanicsOnDimMismatch(t *testing.T) {
 		}
 	}()
 	Dot([]float64{1}, []float64{1, 2})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package logic
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -183,17 +182,6 @@ func (c *Circuit) MarkOutput(id int) error {
 	}
 	c.outputs = append(c.outputs, id)
 	return nil
-}
-
-// IsOutput reports whether the gate with the given ID is a primary
-// output.
-func (c *Circuit) IsOutput(id int) bool {
-	for _, o := range c.outputs {
-		if o == id {
-			return true
-		}
-	}
-	return false
 }
 
 // TopoOrder returns gate IDs in a topological order of the *timing*
@@ -503,11 +491,4 @@ func (c *Circuit) SimulateSeq(in, state []bool) (vals, next []bool, err error) {
 		next[i] = val[c.gates[id].Fanin[0]]
 	}
 	return val, next, nil
-}
-
-// Distance returns the Euclidean placement distance between two gates.
-func (c *Circuit) Distance(a, b int) float64 {
-	ga, gb := c.gates[a], c.gates[b]
-	dx, dy := ga.X-gb.X, ga.Y-gb.Y
-	return math.Hypot(dx, dy)
 }

@@ -121,17 +121,6 @@ func (t GateType) Arity() int {
 // Valid reports whether t is one of the defined gate types.
 func (t GateType) Valid() bool { return t < numGateTypes }
 
-// Inverting reports whether the gate's output is the complement of the
-// underlying monotone function (NAND/NOR/NOT/XNOR). It is used by the
-// functional simulator and by leakage state weighting.
-func (t GateType) Inverting() bool {
-	switch t {
-	case Inv, Nand2, Nand3, Nand4, Nor2, Nor3, Nor4, Xnor2:
-		return true
-	}
-	return false
-}
-
 // baseFamily groups n-input variants of the same function.
 type baseFamily uint8
 

@@ -345,9 +345,6 @@ func TestPlaceGrid(t *testing.T) {
 			}
 		}
 	}
-	if d := c.Distance(0, 0); d != 0 {
-		t.Errorf("Distance(self) = %g", d)
-	}
 }
 
 // TestRandomDAGTopoProperty builds random layered DAGs and checks the
@@ -418,20 +415,5 @@ func TestSimulateInputCountMismatch(t *testing.T) {
 	c := buildC17(t)
 	if _, err := c.Simulate([]bool{true}); err == nil {
 		t.Error("Simulate accepted wrong input count")
-	}
-}
-
-func TestInvertingClassification(t *testing.T) {
-	inverting := []GateType{Inv, Nand2, Nand3, Nand4, Nor2, Nor3, Nor4, Xnor2}
-	non := []GateType{Buf, And2, And3, And4, Or2, Or3, Or4, Xor2}
-	for _, ty := range inverting {
-		if !ty.Inverting() {
-			t.Errorf("%v should be inverting", ty)
-		}
-	}
-	for _, ty := range non {
-		if ty.Inverting() {
-			t.Errorf("%v should not be inverting", ty)
-		}
 	}
 }

@@ -34,9 +34,6 @@ func TestDffGateType(t *testing.T) {
 	if !Dff.Sequential() || Nand2.Sequential() || Input.Sequential() {
 		t.Error("Sequential() classification wrong")
 	}
-	if Dff.Inverting() {
-		t.Error("DFF must not be inverting")
-	}
 	ty, err := GateTypeForFunction("dff", 1)
 	if err != nil || ty != Dff {
 		t.Errorf("GateTypeForFunction(dff,1) = %v, %v", ty, err)

@@ -129,9 +129,6 @@ type Config struct {
 	MixtureLambda float64
 }
 
-// DefaultConfig returns the sample budget used by the experiments.
-func DefaultConfig() Config { return Config{Samples: 2000, Seed: 1} }
-
 // Result holds per-sample circuit metrics. Samples are index-aligned:
 // sample i used the same die (same parameter draw) for both metrics.
 type Result struct {
@@ -145,7 +142,7 @@ type Result struct {
 
 // check validates the sample set before estimation: the empty and
 // length-mismatched cases error rather than masquerade as a true zero
-// estimate (yield.FromMC applies the same rule).
+// estimate.
 func (r *Result) check() error {
 	n := len(r.DelaysPs)
 	if n == 0 || n != len(r.LeaksNW) {

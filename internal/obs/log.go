@@ -53,37 +53,21 @@ func ParseLevel(s string) (Level, error) {
 
 // Logger is a minimal leveled structured logger emitting one logfmt
 // line per event: `ts=... level=... msg=... k=v ...`. A nil *Logger
-// discards everything, so optional logging needs no guards. Loggers
-// derived with With share the parent's writer lock.
+// discards everything, so optional logging needs no guards.
 type Logger struct {
-	mu    *sync.Mutex
-	w     io.Writer
-	min   Level
-	attrs string           // pre-rendered " k=v ..." suffix
-	now   func() time.Time // test hook
+	mu  sync.Mutex
+	w   io.Writer
+	min Level
+	now func() time.Time // test hook
 }
 
 // NewLogger returns a logger writing events at or above min to w.
 func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, min: min, now: time.Now}
-}
-
-// With returns a logger that appends the given key-value pairs to
-// every event.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	d := *l
-	d.attrs = l.attrs + renderAttrs(kv)
-	return &d
+	return &Logger{w: w, min: min, now: time.Now}
 }
 
 // Enabled reports whether events at lv would be written.
 func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
 
 // Info logs at info level.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
@@ -105,7 +89,6 @@ func (l *Logger) log(lv Level, msg string, kv []any) {
 	b.WriteString(lv.String())
 	b.WriteString(" msg=")
 	b.WriteString(renderValue(msg))
-	b.WriteString(l.attrs)
 	b.WriteString(renderAttrs(kv))
 	b.WriteByte('\n')
 	l.mu.Lock()

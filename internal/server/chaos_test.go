@@ -1,8 +1,8 @@
 // Chaos suite: fault injection through server.FailPoints, run under
 // -race by `make chaos` (and the ordinary test/race targets). Each
 // test drives one failure mode the daemon must survive: a panicking
-// execute, a hung execute vs the per-job deadline, transient errors
-// vs the retry/backoff policy, and the API lifecycle races around
+// execute, a hung execute vs the per-job deadline, transient failures
+// (an injected *PanicError) vs the retry/backoff policy, and the API lifecycle races around
 // them (cancel-during-retry-wait, janitor eviction during DELETE,
 // concurrent Shutdown).
 package server
@@ -135,7 +135,7 @@ func TestChaosServerTimeoutCap(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "hang", Optimizer: "deterministic", TimeoutSec: 3600})
+	job, _, err := m.submit(Request{Netlist: bench.C17, Name: "hang", Optimizer: "deterministic", TimeoutSec: 3600})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestChaosRetryBackoff(t *testing.T) {
 			n := len(times)
 			mu.Unlock()
 			if n <= 3 {
-				return nil, Transient(errors.New("spurious worker loss")), true
+				return nil, &PanicError{Value: "spurious worker loss"}, true
 			}
 			return nil, nil, false // 4th attempt: run the real execute
 		},
@@ -231,11 +231,11 @@ func TestChaosPermanentErrorsNotRetried(t *testing.T) {
 	}()
 	before := obs.Default.Values()["statleak_job_retries_total"]
 
-	injected, err := m.Submit(Request{Netlist: bench.C17, Name: "bad", Optimizer: "deterministic", MaxRetries: 3})
+	injected, _, err := m.submit(Request{Netlist: bench.C17, Name: "bad", Optimizer: "deterministic", MaxRetries: 3})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	parseFail, err := m.Submit(Request{Netlist: "THIS IS ( NOT A NETLIST", Name: "garbage", MaxRetries: 3})
+	parseFail, _, err := m.submit(Request{Netlist: "THIS IS ( NOT A NETLIST", Name: "garbage", MaxRetries: 3})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestChaosPermanentErrorsNotRetried(t *testing.T) {
 func TestChaosRetriesExhausted(t *testing.T) {
 	fp := &FailPoints{
 		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			return nil, Transient(errors.New("flaky backend")), true
+			return nil, &PanicError{Value: "flaky backend"}, true
 		},
 	}
 	m := NewManager(Config{Workers: 1, RetryBaseDelay: 10 * time.Millisecond, FailPoints: fp})
@@ -269,7 +269,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "flaky", MaxRetries: 2})
+	job, _, err := m.submit(Request{Netlist: bench.C17, Name: "flaky", MaxRetries: 2})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 func TestChaosCancelDuringRetryWait(t *testing.T) {
 	fp := &FailPoints{
 		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			return nil, Transient(errors.New("flaky backend")), true
+			return nil, &PanicError{Value: "flaky backend"}, true
 		},
 	}
 	// A long base delay keeps the job parked in the backoff wait.
@@ -399,7 +399,7 @@ func TestChaosDoubleShutdown(t *testing.T) {
 	fp := &FailPoints{Execute: hangByName("hang")}
 	m := NewManager(Config{Workers: 1, FailPoints: fp})
 
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "hang"})
+	job, _, err := m.submit(Request{Netlist: bench.C17, Name: "hang"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

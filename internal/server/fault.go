@@ -25,7 +25,7 @@ type FailPoints struct {
 	// own attempt goroutine. Returning intercept=false falls through
 	// to the real execute. Panicking inside the hook exercises the
 	// worker's recovery path; blocking until ctx is done exercises
-	// deadline abandonment; returning Transient errors exercises the
+	// deadline abandonment; returning a *PanicError exercises the
 	// retry loop.
 	Execute func(ctx context.Context, job *Job) (out *Outcome, err error, intercept bool)
 	// AfterCancel runs inside the DELETE handler after Manager.Cancel,
@@ -57,33 +57,15 @@ func newPanicError(v any) *PanicError {
 	return &PanicError{Value: fmt.Sprint(v), Stack: string(st)}
 }
 
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so IsTransient reports true: the failure is a
-// property of the attempt (lost capacity, a wedged dependency), not
-// of the request, so re-running it may succeed.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
 // IsTransient classifies an execute failure for the retry policy:
 // recovered panics and deadline expiries are transient (an internal
-// invariant trip or an unluckily slow run may not repeat), as is
-// anything wrapped by Transient. Everything else — parse errors,
-// infeasible configurations, bad parameters — is permanent: the same
-// request reproduces it, so a retry only burns a worker.
+// invariant trip or an unluckily slow run may not repeat). Everything
+// else — parse errors, infeasible configurations, bad parameters — is
+// permanent: the same request reproduces it, so a retry only burns a
+// worker.
 func IsTransient(err error) bool {
-	var te *transientError
 	var pe *PanicError
-	return errors.As(err, &te) || errors.As(err, &pe) ||
-		errors.Is(err, context.DeadlineExceeded)
+	return errors.As(err, &pe) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // execResult carries one attempt's outcome from the attempt goroutine

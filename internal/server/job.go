@@ -107,12 +107,12 @@ type Request struct {
 	// for the retry policy.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 	// MaxRetries re-runs the job after transient failures — recovered
-	// panics, deadline expiries, errors marked server.Transient — with
-	// exponential backoff, at most MaxRetries extra attempts (capped
-	// at MaxRetriesCap). Validation errors are never retried.
+	// panics and deadline expiries — with exponential backoff, at most
+	// MaxRetries extra attempts (capped at MaxRetriesCap). Validation
+	// errors are never retried.
 	MaxRetries int `json:"max_retries,omitempty"`
 
-	// IdempotencyKey deduplicates resubmissions: a Submit carrying a
+	// IdempotencyKey deduplicates resubmissions: a submission carrying a
 	// key the manager already knows returns the existing job (whatever
 	// its state) instead of enqueuing a duplicate run. The mapping
 	// lives exactly as long as the job itself — once the janitor
@@ -157,8 +157,8 @@ func (r *Request) Validate() error {
 	if r.TmaxFactor > 0 && r.TmaxFactor < 1 {
 		return fmt.Errorf("tmax_factor %g must be >= 1 (a multiple of the minimum delay)", r.TmaxFactor)
 	}
-	if r.MCSamples < 0 || r.MaxMoves < 0 {
-		return fmt.Errorf("mc_samples and max_moves must be >= 0")
+	if r.MCSamples < 0 {
+		return fmt.Errorf("mc_samples must be >= 0")
 	}
 	if _, err := montecarlo.ParseSampling(r.Sampling); err != nil {
 		return err
@@ -172,15 +172,18 @@ func (r *Request) Validate() error {
 	if len(r.IdempotencyKey) > maxIdempotencyKeyLen {
 		return fmt.Errorf("idempotency_key longer than %d bytes", maxIdempotencyKeyLen)
 	}
-	if !r.Scenario.IsZero() {
-		if err := r.Scenario.Validate(); err != nil {
-			return err
-		}
-	}
 	if _, err := tech.Preset(r.preset()); err != nil {
 		return err
 	}
-	return nil
+	// The optimizer's own ranges, checked at a placeholder Tmax (the
+	// real one needs the netlist's minimum delay): a request the
+	// optimizer would reject fails here, before a worker runs
+	// MinimumDelay for it.
+	o, err := r.options(1)
+	if err != nil {
+		return err
+	}
+	return o.Validate()
 }
 
 func (r *Request) preset() string {

@@ -32,11 +32,11 @@ var (
 		"failed attempts re-enqueued with backoff")
 )
 
-// ErrQueueFull is returned by Submit when the bounded queue is at
+// ErrQueueFull is returned by submit when the bounded queue is at
 // capacity; the HTTP layer maps it to 503.
 var ErrQueueFull = errors.New("server: job queue full")
 
-// ErrShuttingDown is returned by Submit after Shutdown has begun.
+// ErrShuttingDown is returned by submit after Shutdown has begun.
 var ErrShuttingDown = errors.New("server: shutting down")
 
 // Config sizes the manager.
@@ -135,19 +135,12 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Submit validates and enqueues a job, returning it in StatePending.
-// A request carrying an IdempotencyKey the manager already knows is a
-// resubmission: the existing job is returned in whatever state it has
-// reached, and nothing is enqueued.
-func (m *Manager) Submit(req Request) (*Job, error) {
-	job, _, err := m.submit(req)
-	return job, err
-}
-
-// submit is Submit that also returns the job's status as of the
-// submission: a new job's is snapshotted before it is enqueued, so it
-// reads StatePending however fast a worker picks the job up; a
-// deduplicated resubmission's is the existing job's live state.
+// submit validates and enqueues a job, returning it with its status as
+// of the submission: a new job's is snapshotted before it is enqueued,
+// so it reads StatePending however fast a worker picks the job up. A
+// request carrying an IdempotencyKey the manager already knows is a
+// resubmission: the existing job is returned with its live state, and
+// nothing is enqueued.
 func (m *Manager) submit(req Request) (*Job, Status, error) {
 	if err := req.Validate(); err != nil {
 		return nil, Status{}, err

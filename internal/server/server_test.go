@@ -423,6 +423,10 @@ func TestSubmitValidation(t *testing.T) {
 		{Circuit: "s432", TimeoutSec: -1},
 		{Circuit: "s432", MaxRetries: MaxRetriesCap + 1},
 		{Circuit: "s432", MaxRetries: -1},
+		{Circuit: "s432", YieldTarget: 1.5},
+		{Circuit: "s432", LeakPercentile: 2},
+		{Circuit: "s432", CornerSigma: 9},
+		{Circuit: "s432", DisableVth: true, DisableSizing: true},
 	}
 	for i, req := range cases {
 		if code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req); code != http.StatusBadRequest {
@@ -463,7 +467,7 @@ func TestSubmitValidation(t *testing.T) {
 // and Shutdown returns nil within the deadline.
 func TestShutdownDrains(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueDepth: 2})
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "c17", Optimizer: "deterministic"})
+	job, _, err := m.submit(Request{Netlist: bench.C17, Name: "c17", Optimizer: "deterministic"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -475,7 +479,7 @@ func TestShutdownDrains(t *testing.T) {
 	if st := job.status(); st.State != StateDone {
 		t.Fatalf("after drain: state %q (err %q), want done", st.State, st.Error)
 	}
-	if _, err := m.Submit(Request{Circuit: "s432"}); err == nil {
+	if _, _, err := m.submit(Request{Circuit: "s432"}); err == nil {
 		t.Fatal("submit after shutdown should fail")
 	}
 }
@@ -484,7 +488,7 @@ func TestShutdownDrains(t *testing.T) {
 // deadline shorter than the job cancels it and returns the ctx error.
 func TestShutdownDeadlineCancels(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueDepth: 2})
-	job, err := m.Submit(Request{Circuit: "s1355", Optimizer: "anneal"})
+	job, _, err := m.submit(Request{Circuit: "s1355", Optimizer: "anneal"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -553,7 +557,7 @@ func TestSequentialIDs(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 	for i := 1; i <= 2; i++ {
-		j, err := m.Submit(Request{Netlist: bench.C17, Optimizer: "deterministic"})
+		j, _, err := m.submit(Request{Netlist: bench.C17, Optimizer: "deterministic"})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -93,15 +93,6 @@ func Add(a, b Canonical) Canonical {
 	return out
 }
 
-// AddInPlace adds b into a (a must have the same PC dimension).
-func AddInPlace(a *Canonical, b Canonical) {
-	a.Mean += b.Mean
-	for k := range a.Sens {
-		a.Sens[k] += b.Sens[k]
-	}
-	a.Rand = math.Hypot(a.Rand, b.Rand)
-}
-
 // Max returns the canonical approximation of max(a,b): Clark's mean
 // and variance, sensitivities blended by the tightness probability
 // T = P(a ≥ b), and the private residual set to absorb whatever

@@ -37,9 +37,6 @@ func newResult(n, numPC int) *Result {
 	}
 }
 
-// NumNodes returns the number of nodes the result covers.
-func (r *Result) NumNodes() int { return len(r.mean) }
-
 // Arrival returns the canonical arrival-time form at the output of
 // node id. The returned form's Sens aliases the result's backing
 // storage: treat it as read-only, and re-fetch it after any update
@@ -52,10 +49,6 @@ func (r *Result) Arrival(id int) Canonical {
 		Rand: r.rand[id],
 	}
 }
-
-// ArrivalMean returns just the mean arrival time of node id — the
-// cheap accessor the slack and critical-path walks use.
-func (r *Result) ArrivalMean(id int) float64 { return r.mean[id] }
 
 // setArrival copies c into node id's row.
 func (r *Result) setArrival(id int, c Canonical) {
@@ -171,12 +164,6 @@ func (r *Result) Yield(tmax float64) float64 {
 // Quantile returns the delay value not exceeded with probability p.
 func (r *Result) Quantile(p float64) float64 {
 	return r.Delay.Normal().Quantile(p)
-}
-
-// YieldConstraintDelay returns the Tmax that would achieve the target
-// yield: the eta-quantile of the delay distribution.
-func (r *Result) YieldConstraintDelay(eta float64) float64 {
-	return r.Quantile(eta)
 }
 
 // StatisticalSlack returns, per node, an approximate statistical slack

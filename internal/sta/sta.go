@@ -172,17 +172,6 @@ func resize(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// WorstSlack returns the minimum slack over all nodes.
-func (r *Result) WorstSlack() float64 {
-	w := math.Inf(1)
-	for _, s := range r.Slack {
-		if s < w {
-			w = s
-		}
-	}
-	return w
-}
-
 // CriticalPath walks back from the worst endpoint along the
 // latest-arriving fanins, returning node IDs from a launch point (a
 // primary input or a flip-flop Q pin) to the worst endpoint (a PO or

@@ -11,9 +11,8 @@ import (
 	"math"
 )
 
-// Sqrt2 and related constants, precomputed for the hot paths.
+// 1/√2 and √(2π), precomputed for the hot paths.
 var (
-	sqrt2    = math.Sqrt2
 	invSqrt2 = 1 / math.Sqrt2
 	sqrt2Pi  = math.Sqrt(2 * math.Pi)
 )
@@ -86,12 +85,6 @@ type Normal struct {
 	Sigma float64
 }
 
-// Mean returns the distribution mean.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Variance returns the distribution variance.
-func (n Normal) Variance() float64 { return n.Sigma * n.Sigma }
-
 // CDF returns P(X ≤ x).
 func (n Normal) CDF(x float64) float64 {
 	if EqZero(n.Sigma) {
@@ -121,29 +114,6 @@ type Lognormal struct {
 
 // Mean returns E[X] = exp(μ + σ²/2).
 func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Variance returns Var[X] = (exp(σ²)−1)·exp(2μ+σ²).
-func (l Lognormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-// Median returns exp(μ).
-func (l Lognormal) Median() float64 { return math.Exp(l.Mu) }
-
-// CDF returns P(X ≤ x).
-func (l Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if EqZero(l.Sigma) {
-		if x < math.Exp(l.Mu) {
-			return 0
-		}
-		return 1
-	}
-	return NormalCDF((math.Log(x) - l.Mu) / l.Sigma)
-}
 
 // Quantile returns the p-quantile exp(μ + σ·Φ⁻¹(p)).
 func (l Lognormal) Quantile(p float64) float64 {

@@ -126,30 +126,6 @@ func Correlation(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// KolmogorovSmirnov returns the KS statistic sup|F_n(x) − F(x)|
-// between the empirical CDF of the sample and the reference CDF.
-func KolmogorovSmirnov(xs []float64, cdf func(float64) float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := float64(len(s))
-	d := 0.0
-	for i, x := range s {
-		f := cdf(x)
-		lo := math.Abs(f - float64(i)/n)
-		hi := math.Abs(float64(i+1)/n - f)
-		if lo > d {
-			d = lo
-		}
-		if hi > d {
-			d = hi
-		}
-	}
-	return d
-}
-
 // Histogram is a fixed-range, fixed-bin-count histogram used to render
 // the distribution figures.
 type Histogram struct {

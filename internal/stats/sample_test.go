@@ -86,25 +86,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestKolmogorovSmirnovNormalSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 20000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	d := KolmogorovSmirnov(xs, NormalCDF)
-	// For a true-model sample, D ~ 1.36/sqrt(n) at the 5% level.
-	if d > 1.6/math.Sqrt(float64(n)) {
-		t.Errorf("KS statistic %g too large for a genuine normal sample", d)
-	}
-	// Against a grossly wrong CDF, D must be large.
-	dWrong := KolmogorovSmirnov(xs, func(x float64) float64 { return NormalCDF(x - 3) })
-	if dWrong < 0.5 {
-		t.Errorf("KS statistic %g too small for a shifted model", dWrong)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h, err := NewHistogram(0, 10, 5)
 	if err != nil {

@@ -169,10 +169,6 @@ func (p *Params) Vth(v VthClass) float64 {
 	return p.VthLow
 }
 
-// LeakBeta returns β = ln10/S, the exponential leakage sensitivity to
-// threshold voltage: I = I_nom·exp(−β·ΔVth).
-func (p *Params) LeakBeta() float64 { return math.Ln10 / p.SubSwing }
-
 // cellTraits carries the per-gate-type electrical characterization:
 // logical effort g, parasitic delay p (in τ units), relative total
 // transistor width w (leakage weight), and stack factor sf (leakage
@@ -204,13 +200,6 @@ var traits = [logic.NumGateTypes]cellTraits{
 	// (master+slave latches, clock buffers) and leak accordingly.
 	logic.Dff: {g: 1.2, p: 3.0, w: 7.0, sf: 0.80},
 }
-
-// LogicalEffort returns the logical effort g of the gate type.
-func LogicalEffort(t logic.GateType) float64 { return traits[t].g }
-
-// ParasiticDelay returns the parasitic delay p of the gate type, in τ
-// units.
-func ParasiticDelay(t logic.GateType) float64 { return traits[t].p }
 
 // DefaultSizes is the discrete drive-strength ladder of the library.
 // Steps of ~1.25-1.4× keep greedy sizing moves fine-grained enough for
@@ -309,12 +298,6 @@ func (lb *Library) SizeIndex(s float64) int {
 // Vth flavor (same transistor widths, different channel doping).
 func (lb *Library) InputCap(t logic.GateType, size float64) float64 {
 	return traits[t].g * size * lb.P.CinUnitFF
-}
-
-// ParasiticCap returns the intrinsic output capacitance of the cell
-// [fF] — the part of the load the cell presents to itself.
-func (lb *Library) ParasiticCap(t logic.GateType, size float64) float64 {
-	return traits[t].p * size * lb.P.CinUnitFF * 0.5
 }
 
 // Delay returns the nominal propagation delay [ps] of a cell of the
@@ -437,31 +420,23 @@ func (lb *Library) GateLeak(t logic.GateType, size float64) float64 {
 	return lb.P.GateLeakNW * traits[t].w * size
 }
 
-// LeakWith returns the exact subthreshold leakage [nW] under a
+// leakAt returns the exact leakage [nW] of a cell of nominal
+// subthreshold leakage sub and gate leakage gate under a
 // channel-length excursion dLnm and independent threshold shift dVthV
-// (gate leakage added unvaried):
+// (gate leakage added unvaried), with β = ln10/S(T):
 //
 //	P = P_nom · exp(−β·(k_roll·ΔL + ΔVth))
 //
 // Shorter channels (ΔL < 0) lower the effective threshold and raise
 // leakage exponentially — the asymmetry that drives the whole paper.
-func (lb *Library) LeakWith(t logic.GateType, v VthClass, size, dLnm, dVthV float64) float64 {
-	if t == logic.Input {
-		return 0
-	}
-	return lb.leakAt(lb.SubLeak(t, v, size), lb.GateLeak(t, size), lb.LeakBeta(), dLnm, dVthV)
-}
-
-// leakAt is LeakWith for a cell of nominal subthreshold leakage sub,
-// gate leakage gate and β = ln10/S(T).
 func (lb *Library) leakAt(sub, gate, beta, dLnm, dVthV float64) float64 {
 	dvth := lb.P.KRoll*dLnm + dVthV
 	return sub*math.Exp(-beta*dvth) + gate
 }
 
 // Cell is a library cell bound to a gate type, Vth class, size and
-// load, with every term of DelayWith and LeakWith that the process
-// excursion does not change folded once: the nominal threshold, the
+// load, with every term of DelayWith and of the leakage model that the
+// process excursion does not change folded once: the nominal threshold, the
 // load term, the nominal subthreshold and gate leakage, and β. Monte
 // Carlo binds one Cell per gate per run and evaluates it per die.
 type Cell struct {
@@ -475,7 +450,7 @@ type Cell struct {
 
 // Cell binds a cell of type t, class v and size driving loadFF. A
 // logic.Input pseudo-gate binds with zero load term and leakage, so
-// its Delay and Leak are 0 like DelayWith's and LeakWith's.
+// its Delay and Leak are 0, like DelayWith's.
 func (lb *Library) Cell(t logic.GateType, v VthClass, size, loadFF float64) Cell {
 	c := Cell{lb: lb, vth: lb.P.Vth(v), beta: lb.LeakBeta()}
 	if t != logic.Input {
@@ -493,8 +468,8 @@ func (c *Cell) Delay(dLnm, dVthV float64) float64 {
 	return c.lb.delayAt(c.vth, c.loadTerm, dLnm, dVthV)
 }
 
-// Leak returns the cell's exact leakage [nW] under the excursion; it
-// equals LeakWith at the bound type, class and size bit for bit.
+// Leak returns the cell's exact leakage [nW] under the excursion (see
+// leakAt).
 func (c *Cell) Leak(dLnm, dVthV float64) float64 {
 	return c.lb.leakAt(c.sub, c.gate, c.beta, dLnm, dVthV)
 }
@@ -506,12 +481,3 @@ func (lb *Library) LeakExponents() (bL, bV float64) {
 	beta := lb.LeakBeta()
 	return beta * lb.P.KRoll, beta
 }
-
-// HVTLeakRatio returns the nominal HVT/LVT subthreshold leakage ratio
-// (a small number; its inverse is the classic "dual-Vth leverage").
-func (lb *Library) HVTLeakRatio() float64 {
-	return lb.leak10[HighVth] / lb.leak10[LowVth]
-}
-
-// HVTDelayRatio returns the HVT/LVT delay ratio (> 1).
-func (lb *Library) HVTDelayRatio() float64 { return lb.tauHVT / lb.tauLVT }

@@ -66,12 +66,12 @@ func TestVthClass(t *testing.T) {
 func TestHVTRatiosAreEraRealistic(t *testing.T) {
 	lb := newLib(t)
 	// Dual-Vth leverage: HVT should leak 10×–50× less than LVT.
-	r := lb.HVTLeakRatio()
+	r := lb.leak10[HighVth] / lb.leak10[LowVth]
 	if r <= 1.0/50 || r >= 1.0/10 {
 		t.Errorf("HVT/LVT leak ratio = %g, want within (1/50, 1/10)", r)
 	}
 	// and cost 10%–30% delay.
-	d := lb.HVTDelayRatio()
+	d := lb.tauHVT / lb.tauLVT
 	if d <= 1.10 || d >= 1.30 {
 		t.Errorf("HVT/LVT delay ratio = %g, want within (1.10, 1.30)", d)
 	}
@@ -138,10 +138,11 @@ func TestLeakMonotonicity(t *testing.T) {
 
 func TestInputGateIsElectricallyFree(t *testing.T) {
 	lb := newLib(t)
+	in := lb.Cell(logic.Input, LowVth, 1, 10)
 	if lb.Delay(logic.Input, LowVth, 1, 10) != 0 ||
 		lb.Leak(logic.Input, LowVth, 1) != 0 ||
 		lb.DelayWith(logic.Input, LowVth, 1, 10, 1, 0.01) != 0 ||
-		lb.LeakWith(logic.Input, LowVth, 1, 1, 0.01) != 0 {
+		in.Leak(1, 0.01) != 0 {
 		t.Error("INPUT pseudo-gate must have zero delay and leakage")
 	}
 	dL, dV := lb.DelayDerivs(logic.Input, LowVth, 1, 10)
@@ -187,19 +188,21 @@ func TestLeakWithExponentialForm(t *testing.T) {
 	for _, ty := range []logic.GateType{logic.Inv, logic.Nand2, logic.Nor4} {
 		nomSub := lb.SubLeak(ty, LowVth, 2)
 		gate := lb.GateLeak(ty, 2)
+		c := lb.Cell(ty, LowVth, 2, 0)
 		for _, dl := range []float64{-5, -1, 0, 2, 6} {
 			for _, dv := range []float64{-0.03, 0, 0.02} {
 				want := nomSub*math.Exp(-bL*dl-bV*dv) + gate
-				got := lb.LeakWith(ty, LowVth, 2, dl, dv)
+				got := c.Leak(dl, dv)
 				if !almost(got, want, 1e-9*want) {
-					t.Errorf("%v: LeakWith(%g,%g) = %g, want %g", ty, dl, dv, got, want)
+					t.Errorf("%v: Leak(%g,%g) = %g, want %g", ty, dl, dv, got, want)
 				}
 			}
 		}
 	}
 	// Shorter channel must leak exponentially more.
-	l0 := lb.LeakWith(logic.Inv, LowVth, 1, 0, 0)
-	lShort := lb.LeakWith(logic.Inv, LowVth, 1, -3*3.6, 0) // −3σ at 6% variation
+	inv := lb.Cell(logic.Inv, LowVth, 1, 0)
+	l0 := inv.Leak(0, 0)
+	lShort := inv.Leak(-3*3.6, 0) // −3σ at 6% variation
 	if lShort < 2*l0 {
 		t.Errorf("−3σ channel length leakage %g < 2× nominal %g; variation model too weak", lShort, l0)
 	}
@@ -262,10 +265,10 @@ func TestSwapSignStructure(t *testing.T) {
 }
 
 func TestLogicalEffortAccessors(t *testing.T) {
-	if LogicalEffort(logic.Inv) != 1 || ParasiticDelay(logic.Inv) != 1 {
+	if traits[logic.Inv].g != 1 || traits[logic.Inv].p != 1 {
 		t.Error("inverter traits must be the logical-effort unit")
 	}
-	if LogicalEffort(logic.Nand2) <= 1 || LogicalEffort(logic.Nor2) <= LogicalEffort(logic.Nand2) {
+	if traits[logic.Nand2].g <= 1 || traits[logic.Nor2].g <= traits[logic.Nand2].g {
 		t.Error("NOR must have more logical effort than NAND (weak pMOS stacks)")
 	}
 }

@@ -46,7 +46,7 @@ func TestHotSiliconLeaksMoreAndRunsSlower(t *testing.T) {
 	}
 	// Dual-Vth leverage shrinks with temperature (the swing widens, so
 	// the fixed ΔVth buys fewer decades).
-	if hot.HVTLeakRatio() <= cold.HVTLeakRatio() {
+	if hot.leak10[HighVth]/hot.leak10[LowVth] <= cold.leak10[HighVth]/cold.leak10[LowVth] {
 		t.Error("HVT/LVT ratio should move toward 1 at high temperature")
 	}
 	// Variation sensitivity also softens: β = ln10/S(T) drops.
@@ -56,7 +56,7 @@ func TestHotSiliconLeaksMoreAndRunsSlower(t *testing.T) {
 }
 
 func TestTemperatureExponentialConsistency(t *testing.T) {
-	// LeakWith must stay exactly exponential with the effective beta
+	// Cell.Leak must stay exactly exponential with the effective beta
 	// at any temperature.
 	hot := libAt(t, 110)
 	bL, bV := hot.LeakExponents()
@@ -65,7 +65,8 @@ func TestTemperatureExponentialConsistency(t *testing.T) {
 	}
 	nom := hot.SubLeak(logic.Nand2, LowVth, 2)
 	gate := hot.GateLeak(logic.Nand2, 2)
-	got := hot.LeakWith(logic.Nand2, LowVth, 2, -3, 0.01)
+	c := hot.Cell(logic.Nand2, LowVth, 2, 0)
+	got := c.Leak(-3, 0.01)
 	want := nom*math.Exp(-bL*(-3)-bV*0.01) + gate
 	if math.Abs(got-want) > 1e-9*want {
 		t.Errorf("LeakWith at temperature: %g vs %g", got, want)

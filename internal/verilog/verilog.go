@@ -119,8 +119,6 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-
 func (p *parser) next() token {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {

@@ -30,10 +30,6 @@ type ISEstimate struct {
 	Samples  int     // raw sample count
 }
 
-// CIHalfWidth returns the half-width of the ~95% normal confidence
-// interval on the yield estimate.
-func (e ISEstimate) CIHalfWidth() float64 { return 1.96 * e.StdErr }
-
 // TimingIS estimates the timing yield P(delay ≤ tmax) from a Monte
 // Carlo result with a standard error. The failure probability is
 // estimated on the failure side — p̂f = (1/N)·Σ wᵢ·1{delayᵢ > tmax} —
@@ -89,6 +85,16 @@ func TimingIS(res *montecarlo.Result, tmax float64) (ISEstimate, error) {
 		ESS:      ess,
 		Samples:  n,
 	}, nil
+}
+
+func clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
 }
 
 // ISBudget bounds the adaptive importance-sampling loop: start with

@@ -1,21 +1,15 @@
-// Package yield computes parametric-yield metrics over a design:
-// timing yield (from SSTA or Monte Carlo), leakage-constrained power
-// yield, and the combined yield of dies that meet both constraints —
-// the quantities the paper's evaluation reports.
+// Package yield computes timing-yield metrics over a design: the SSTA
+// yield curve, and the Monte Carlo yield with a standard error that
+// importance sampling makes affordable at high-yield constraints.
 package yield
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/leakage"
-	"repro/internal/montecarlo"
 	"repro/internal/ssta"
 )
 
-// Analyzed wraps one SSTA pass so multiple yield queries (point
-// yields, curves, IS proposal shifts) share the analysis instead of
-// each re-running it.
+// Analyzed wraps one SSTA pass so every constraint a yield curve
+// queries shares the analysis instead of re-running it.
 type Analyzed struct {
 	R *ssta.Result
 }
@@ -29,9 +23,6 @@ func Analyze(d *core.Design) (*Analyzed, error) {
 	return &Analyzed{R: r}, nil
 }
 
-// Timing returns the SSTA-estimated timing yield P(delay ≤ tmax).
-func (a *Analyzed) Timing(tmax float64) float64 { return a.R.Yield(tmax) }
-
 // Curve samples the SSTA timing-yield curve Yield(T) at the given
 // constraints.
 func (a *Analyzed) Curve(tmaxs []float64) []float64 {
@@ -40,97 +31,4 @@ func (a *Analyzed) Curve(tmaxs []float64) []float64 {
 		out[i] = a.R.Yield(t)
 	}
 	return out
-}
-
-// Timing returns the SSTA-estimated timing yield P(delay ≤ tmax).
-// Callers needing both a point yield and a curve (or an IS shift)
-// should Analyze once and query the shared result instead.
-func Timing(d *core.Design, tmax float64) (float64, error) {
-	a, err := Analyze(d)
-	if err != nil {
-		return 0, err
-	}
-	return a.Timing(tmax), nil
-}
-
-// Leakage returns the analytic leakage yield P(total leakage ≤
-// budgetNW) from the lognormal-matched model.
-func Leakage(d *core.Design, budgetNW float64) (float64, error) {
-	an, err := leakage.Exact(d)
-	if err != nil {
-		return 0, err
-	}
-	return an.CDF(budgetNW), nil
-}
-
-// MC holds Monte Carlo yield estimates; the combined yield counts dies
-// meeting both constraints on the same sample, capturing the
-// delay-leakage correlation (slow dies leak less) that multiplying
-// marginal yields would miss.
-type MC struct {
-	Timing   float64
-	Leakage  float64
-	Combined float64
-	Samples  int
-}
-
-// FromMC computes yields from an existing Monte Carlo result. For an
-// importance-sampled result the per-sample likelihood-ratio weights
-// fold in automatically (failure indicators are weighted, estimates
-// clamped to [0,1]).
-func FromMC(res *montecarlo.Result, tmaxPs, leakBudgetNW float64) (MC, error) {
-	n := len(res.DelaysPs)
-	if n == 0 || n != len(res.LeaksNW) {
-		return MC{}, fmt.Errorf("yield: malformed MC result (%d delay, %d leak samples)",
-			n, len(res.LeaksNW))
-	}
-	if res.Weights != nil && len(res.Weights) != n {
-		return MC{}, fmt.Errorf("yield: malformed MC result (%d samples, %d weights)",
-			n, len(res.Weights))
-	}
-	var failT, failL, failAny float64
-	for i := 0; i < n; i++ {
-		w := 1.0
-		if res.Weights != nil {
-			w = res.Weights[i]
-		}
-		t := res.DelaysPs[i] > tmaxPs
-		l := res.LeaksNW[i] > leakBudgetNW
-		if t {
-			failT += w
-		}
-		if l {
-			failL += w
-		}
-		if t || l {
-			failAny += w
-		}
-	}
-	inv := 1 / float64(n)
-	return MC{
-		Timing:   clamp01(1 - failT*inv),
-		Leakage:  clamp01(1 - failL*inv),
-		Combined: clamp01(1 - failAny*inv),
-		Samples:  n,
-	}, nil
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-// Curve samples the SSTA timing-yield curve Yield(T) at the given
-// constraints (see Analyzed to share the pass with other queries).
-func Curve(d *core.Design, tmaxs []float64) ([]float64, error) {
-	a, err := Analyze(d)
-	if err != nil {
-		return nil, err
-	}
-	return a.Curve(tmaxs), nil
 }

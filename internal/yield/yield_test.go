@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/fixture"
-	"repro/internal/montecarlo"
-	"repro/internal/ssta"
 	"repro/internal/yield"
 )
 
@@ -15,76 +13,13 @@ func TestTimingMatchesSSTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := ssta.Analyze(d)
+	a, err := yield.Analyze(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmax := sr.Quantile(0.9)
-	y, err := yield.Timing(d, tmax)
-	if err != nil {
-		t.Fatal(err)
-	}
+	y := a.Curve([]float64{a.R.Quantile(0.9)})[0]
 	if math.Abs(y-0.9) > 1e-9 {
 		t.Errorf("Timing yield %g, want 0.9", y)
-	}
-}
-
-func TestLeakageYieldMonotone(t *testing.T) {
-	d, err := fixture.Suite("s432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	y1, err := yield.Leakage(d, d.TotalLeak())
-	if err != nil {
-		t.Fatal(err)
-	}
-	y2, err := yield.Leakage(d, d.TotalLeak()*3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(y2 > y1) {
-		t.Errorf("leakage yield not monotone: %g vs %g", y1, y2)
-	}
-	if y1 < 0 || y2 > 1 {
-		t.Error("yields out of range")
-	}
-}
-
-func TestFromMCCombined(t *testing.T) {
-	d, err := fixture.Suite("s432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := montecarlo.Run(d, montecarlo.Config{Samples: 500, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := res.DelaySummary()
-	ls := res.LeakSummary()
-	m, err := yield.FromMC(res, ds.P95, ls.P95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Samples != 500 {
-		t.Errorf("Samples = %d", m.Samples)
-	}
-	if math.Abs(m.Timing-0.95) > 0.02 || math.Abs(m.Leakage-0.95) > 0.02 {
-		t.Errorf("marginal yields %g/%g, want ~0.95", m.Timing, m.Leakage)
-	}
-	// Combined ≤ each marginal, and ≥ the Fréchet lower bound.
-	if m.Combined > m.Timing || m.Combined > m.Leakage {
-		t.Error("combined yield above a marginal")
-	}
-	if m.Combined < m.Timing+m.Leakage-1-1e-9 {
-		t.Error("combined yield below Fréchet bound")
-	}
-	// Slow dies leak less: delay and leakage are anti-correlated
-	// through ΔL, so the combined yield beats independence.
-	if m.Combined < m.Timing*m.Leakage-0.02 {
-		t.Errorf("combined %g far below independence %g", m.Combined, m.Timing*m.Leakage)
-	}
-	if _, err := yield.FromMC(&montecarlo.Result{}, 1, 1); err == nil {
-		t.Error("empty MC result accepted")
 	}
 }
 
@@ -93,15 +28,12 @@ func TestCurveMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := ssta.Analyze(d)
+	a, err := yield.Analyze(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := []float64{sr.Delay.Mean - 100, sr.Delay.Mean, sr.Delay.Mean + 100, sr.Delay.Mean + 300}
-	ys, err := yield.Curve(d, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mean := a.R.Delay.Mean
+	ys := a.Curve([]float64{mean - 100, mean, mean + 100, mean + 300})
 	for i := 1; i < len(ys); i++ {
 		if ys[i] < ys[i-1] {
 			t.Errorf("yield curve not monotone at %d", i)
