@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/leakage"
 	"repro/internal/logic"
+	"repro/internal/scenario"
 	"repro/internal/ssta"
+	"repro/internal/stats"
 	"repro/internal/tech"
 )
 
@@ -365,7 +368,7 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRefreshEvery checks that the periodic full rebuild keeps the
+// TestRefreshEvery checks that the periodic full refresh keeps the
 // views consistent across the refresh boundary.
 func TestRefreshEvery(t *testing.T) {
 	e, d := testEngine(t, "s432", Config{RefreshEvery: 16})
@@ -397,6 +400,107 @@ func TestRefreshEvery(t *testing.T) {
 	if re := relErr(q, full.Quantile(0.99)); re > 1e-9 {
 		t.Fatalf("delay q99 %.12g just after refresh cycle, full %.12g (rel err %.2g)",
 			q, full.Quantile(0.99), re)
+	}
+}
+
+// TestRefreshInPlaceMatchesFreshEngine drives random moves that cross
+// several periodic refreshes (RefreshEvery 16 and 23) through s432 and
+// a 4-corner s880 family, at corner sigma 0 and 3. Right after each
+// refresh every corner must equal a freshly built engine over the same
+// assignment bit for bit: the arrival rows and circuit delay, the
+// statistical slack, the leakage quantile, and the what-if quantile of
+// every gate's Vth swap.
+func TestRefreshInPlaceMatchesFreshEngine(t *testing.T) {
+	for _, tc := range []struct {
+		circuit string
+		corners int
+		every   int
+	}{{"s432", 1, 16}, {"s432", 1, 23}, {"s880", 4, 16}, {"s880", 4, 23}} {
+		for _, sigma := range []float64{0, 3} {
+			cfg := Config{TmaxPs: 1000, RefreshEvery: tc.every, CornerSigma: sigma}
+			var m *scenario.Matrix
+			if tc.corners > 1 {
+				m = fourCornerSpec(t)
+			}
+			f := testFamily(t, tc.circuit, cfg, m)
+			if _, err := f.Yield(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.LeakQuantile(0.99); err != nil {
+				t.Fatal(err)
+			}
+			d := f.Design()
+			ids := gateIDs(d)
+			rng := rand.New(rand.NewSource(int64(tc.every)))
+			refreshes := 0
+			for step := 0; refreshes < 3; step++ {
+				mv, ok := randomMove(d, ids, rng)
+				if !ok {
+					continue
+				}
+				if err := f.Apply(mv); err != nil {
+					t.Fatal(err)
+				}
+				if f.engines[0].sinceRefresh != 0 {
+					continue
+				}
+				refreshes++
+				fresh, err := NewFamily(d, cfg, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, e := range f.engines {
+					label := fmt.Sprintf("%s/%d corners/every %d/σ %g/step %d/corner %d",
+						tc.circuit, tc.corners, tc.every, sigma, step, i)
+					checkSameAsFresh(t, e, fresh.engines[i], label)
+				}
+			}
+		}
+	}
+}
+
+// checkSameAsFresh asserts engine e, just refreshed, equals the
+// unqueried engine fresh over the same design bit for bit.
+func checkSameAsFresh(t *testing.T, e, fresh *Engine, label string) {
+	t.Helper()
+	if !bitsEqual(timingBits(t, e), timingBits(t, fresh)) {
+		t.Fatalf("%s: timing rows differ from a fresh engine's", label)
+	}
+	s1, err := e.StatisticalSlack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := fresh.StatisticalSlack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(floatBits(s1), floatBits(s2)) {
+		t.Fatalf("%s: statistical slack differs from a fresh engine's", label)
+	}
+	const p = 0.99
+	q1, err := e.LeakQuantile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := fresh.LeakQuantile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(q1) != math.Float64bits(q2) {
+		t.Fatalf("%s: leakage quantile %v, fresh engine %v", label, q1, q2)
+	}
+	d := e.d
+	z := stats.NormalQuantile(p)
+	for _, id := range gateIDs(d) {
+		to := tech.HighVth
+		if d.Vth[id] == tech.HighVth {
+			to = tech.LowVth
+		}
+		_, sub, gate := d.GateAs(id, to, d.Size[id], d.Load(id))
+		w1, w2 := e.acc.QuantileIf(id, sub, gate, z), fresh.acc.QuantileIf(id, sub, gate, z)
+		if math.Float64bits(w1) != math.Float64bits(w2) {
+			t.Fatalf("%s: gate %d what-if quantile %v, fresh engine %v", label, id, w1, w2)
+		}
 	}
 }
 

@@ -48,11 +48,11 @@ func toggleSwap(b *testing.B, d *core.Design, id int) engine.Move {
 	return mv
 }
 
-func fourCornerMatrix(b *testing.B) *scenario.Matrix {
-	b.Helper()
+func fourCornerMatrix(tb testing.TB) *scenario.Matrix {
+	tb.Helper()
 	m, err := (&scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}).Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }

@@ -1,11 +1,13 @@
 package engine_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fixture"
+	"repro/internal/scenario"
 	"repro/internal/ssta"
 	"repro/internal/tech"
 )
@@ -126,5 +128,140 @@ func TestEngineCornerTryAllocatesNothing(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("a corner try allocates %g times, want 0", allocs)
+	}
+}
+
+// refreshEngine wraps s1908 in an engine with both caches live, as the
+// statistical optimizer runs it.
+func refreshEngine(tb testing.TB) *engine.Engine {
+	tb.Helper()
+	d, err := fixture.Suite("s1908")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := engine.New(d, engine.Config{TmaxPs: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := e.Yield(); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := e.LeakQuantile(0.99); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkEngineRefresh times the periodic drift refresh on s1908:
+// every arrival row re-timed and the leakage sums re-added, in the
+// caches' own buffers.
+func BenchmarkEngineRefresh(b *testing.B) {
+	e := refreshEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Refresh()
+	}
+}
+
+// TestEngineRefreshAllocatesNothing: a refresh re-times and re-sums
+// the live caches in place.
+func TestEngineRefreshAllocatesNothing(t *testing.T) {
+	e := refreshEngine(t)
+	if allocs := testing.AllocsPerRun(5, e.Refresh); allocs > 0 {
+		t.Errorf("a refresh allocates %g times, want 0", allocs)
+	}
+}
+
+// TestEngineEndpointTryAllocatesNothing: a rejected try — Apply, the
+// yield check, Revert — of an LVT→HVT swap of a primary-output gate on
+// s1908 allocates nothing. The swap rewrites an endpoint row, so the
+// Apply refolds the circuit delay and the Revert restores it from the
+// undo record.
+func TestEngineEndpointTryAllocatesNothing(t *testing.T) {
+	d, err := fixture.Suite("s1908")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mv engine.Move
+	for _, id := range d.Circuit.Outputs() {
+		if !d.Circuit.Gate(id).IsInput() && d.Vth[id] == tech.LowVth {
+			if mv, err = engine.NewVthSwap(d, id, tech.HighVth); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if mv == nil {
+		t.Fatal("s1908 has no low-Vth output gate")
+	}
+	e, err := engine.New(d, engine.Config{TmaxPs: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LeakQuantile(0.99); err != nil {
+		t.Fatal(err)
+	}
+	q := func() float64 {
+		v, err := e.DelayQuantile(0.99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	q0 := q()
+	if err := e.Apply(mv); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(q()) == math.Float64bits(q0) {
+		t.Fatal("the swap left the circuit delay unchanged, so it tries no refold")
+	}
+	if err := e.Revert(mv); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := e.Apply(mv); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Yield(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Revert(mv); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("an endpoint try allocates %g times, want 0", allocs)
+	}
+}
+
+// TestFamilyExactLeakQuantileAllocatesNothing: with the leakage
+// caches live, as the margin sweep finds them, the exact leakage
+// quantile allocates nothing once the first call has built each
+// corner's cell-pair table, on one corner and on four.
+func TestFamilyExactLeakQuantileAllocatesNothing(t *testing.T) {
+	d, err := fixture.Suite("s880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, matrix := range []*scenario.Matrix{nil, fourCornerMatrix(t)} {
+		f, err := engine.NewFamily(d, engine.Config{TmaxPs: 1000}, matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.LeakQuantile(0.99); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ExactLeakQuantile(0.99); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := f.ExactLeakQuantile(0.99); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("ExactLeakQuantile allocates %g times, want 0", allocs)
+		}
 	}
 }

@@ -199,7 +199,7 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				stack = stack[:len(stack)-1]
 			}
 		case 2:
-			refreshAll(t, f)
+			refreshAll(f)
 		case 3: // a rejected try: apply, then revert (at once, or after a refresh)
 			mv, ok := randomMove(d, ids, rng)
 			if !ok {
@@ -214,7 +214,7 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				t.Fatal(err)
 			}
 			if rng.Intn(3) == 0 {
-				refreshAll(t, f)
+				refreshAll(f)
 			}
 			refreshed := f.engines[0].sinceRefresh == 0
 			if err := f.Revert(mv); err != nil {
@@ -225,7 +225,7 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 			} else {
 				undone++
 			}
-			// A drift refresh on the revert itself rebuilds the rows.
+			// A drift refresh on the revert itself re-times the rows.
 			rebuilt := f.engines[0].sinceRefresh == 0
 			updates, undos := incCounts()
 			updates, undos = updates-updates0, undos-undos0
@@ -252,7 +252,7 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 				}
 			}
 			d.CopyAssignmentFrom(snap)
-			refreshAll(t, f)
+			refreshAll(f)
 			stack = stack[:0] // the stacked moves no longer match the assignment
 			restored++
 		}
@@ -266,13 +266,11 @@ func runRandomSequence(t *testing.T, f *Family, rng *rand.Rand) {
 	}
 }
 
-// refreshAll rebuilds every corner's caches from the shared assignment.
-func refreshAll(t *testing.T, f *Family) {
-	t.Helper()
+// refreshAll re-times and re-sums every corner's caches from the
+// shared assignment.
+func refreshAll(f *Family) {
 	for _, e := range f.engines {
-		if err := e.Refresh(); err != nil {
-			t.Fatal(err)
-		}
+		e.Refresh()
 	}
 }
 

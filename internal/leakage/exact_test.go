@@ -139,3 +139,103 @@ func TestQuantileIfMatchesUpdate(t *testing.T) {
 		}
 	}
 }
+
+// accBits is the bit pattern of every sum and cached per-gate value of
+// an accumulator.
+func accBits(a *Accumulator) []uint64 {
+	var out []uint64
+	for _, s := range [][]float64{a.pg, a.v, a.b, {a.M, a.Q, a.d1, a.d2, a.gateLeak, a.second2}} {
+		for _, v := range s {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// TestResetMatchesNewAccumulator moves random gates through Update,
+// then Resets: every sum and cached per-gate value must equal a fresh
+// NewAccumulator's bit for bit, and the Reset must allocate nothing.
+func TestResetMatchesNewAccumulator(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, name := range []string{"s432", "s1908", "q344"} {
+		d, err := fixture.Suite(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := NewAccumulator(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []int
+		for _, g := range d.Circuit.Gates() {
+			if g.Type != logic.Input {
+				ids = append(ids, g.ID)
+			}
+		}
+		for round := 0; round < 4; round++ {
+			for step := 0; step < 40; step++ {
+				id := ids[rng.Intn(len(ids))]
+				d.Vth[id] = tech.VthClass(rng.Intn(int(tech.NumVthClasses)))
+				d.Size[id] = d.Lib.Sizes[rng.Intn(len(d.Lib.Sizes))]
+				acc.Update(id)
+			}
+			acc.Reset()
+			fresh, err := NewAccumulator(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := accBits(acc), accBits(fresh)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s round %d: accumulator word %d after Reset %v, NewAccumulator %v",
+						name, round, i, math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, acc.Reset); allocs > 0 {
+			t.Errorf("%s: Reset allocates %g times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestExactQuantileMatchesExact checks the accumulator's exact
+// analysis against Exact bit for bit across random assignments, on
+// one accumulator whose table outlives the assignments, and that a
+// call after the first allocates nothing.
+func TestExactQuantileMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, name := range []string{"s432", "s1908", "q344"} {
+		d, err := fixture.Suite(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := NewAccumulator(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			randomize(d, rng)
+			for _, p := range []float64{0.5, 0.99} {
+				got, err := acc.ExactQuantile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				an, err := Exact(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := an.Quantile(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s trial %d: ExactQuantile(%g) %v, Exact %v", name, trial, p, got, want)
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := acc.ExactQuantile(0.99); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: ExactQuantile allocates %g times, want 0", name, allocs)
+		}
+	}
+}

@@ -103,7 +103,26 @@ func exponents(d *core.Design) []exponent {
 // table in i<j order, so the result is bitwise that of evaluating the
 // exponential per gate pair (a test pins this).
 func Exact(d *core.Design) (*Analysis, error) {
-	exps := exponents(d)
+	t, err := newExactTable(d, exponents(d))
+	if err != nil {
+		return nil, err
+	}
+	return finish(t.moments(d))
+}
+
+// exactTable is the assignment-independent half of the exact
+// analysis: the exponent statistics, the logic gates in ID order, each
+// one's grid cell, and covExp[a][b] = exp(e_a·e_b) over the occupied
+// cells; plus the E[L_i] buffer the pair loop fills per call.
+type exactTable struct {
+	exps   []exponent
+	ids    []int
+	cell   []int
+	covExp [][]float64
+	m      []float64 // E[L_i], index-aligned with ids
+}
+
+func newExactTable(d *core.Design, exps []exponent) (*exactTable, error) {
 	var ids []int
 	for _, g := range d.Circuit.Gates() {
 		if g.Type != logic.Input {
@@ -113,28 +132,31 @@ func Exact(d *core.Design) (*Analysis, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("leakage: circuit has no logic gates")
 	}
-	gateLeak := 0.0
-	m := make([]float64, len(ids)) // E[L_i]
+	cell, covExp := cellCovExp(d, ids, exps)
+	return &exactTable{exps: exps, ids: ids, cell: cell, covExp: covExp, m: make([]float64, len(ids))}, nil
+}
+
+// moments returns the first two raw moments of the subthreshold total
+// and the gate-leak offset under d's current assignment.
+func (t *exactTable) moments(d *core.Design) (mean, second, gateLeak float64) {
+	exps, ids, m := t.exps, t.ids, t.m
 	for i, id := range ids {
 		ex := &exps[id]
 		m[i] = d.GateSubLeak(id) * ex.expHalf
 		gateLeak += d.GateGateLeak(id)
 	}
-	mean := 0.0
 	for _, v := range m {
 		mean += v
 	}
-	cell, covExp := cellCovExp(d, ids, exps)
-	second := 0.0
 	for i, idi := range ids {
 		// diagonal: E[L_i²] = m0² exp(2(|e|²+s²)) = m_i²·exp(|e|²+s²)
 		second += m[i] * m[i] * exps[idi].expFull
-		row := covExp[cell[i]]
+		row := t.covExp[t.cell[i]]
 		for j := i + 1; j < len(ids); j++ {
-			second += 2 * m[i] * m[j] * row[cell[j]]
+			second += 2 * m[i] * m[j] * row[t.cell[j]]
 		}
 	}
-	return finish(mean, second, gateLeak)
+	return mean, second, gateLeak
 }
 
 // cellCovExp returns the grid cell of every gate in ids (index-aligned)
@@ -229,6 +251,8 @@ type Accumulator struct {
 	d1, d2   float64
 	gateLeak float64
 	second2  float64 // Σ m_i²·diagExp_i (the exact diagonal)
+
+	exact *exactTable // built by the first ExactQuantile
 }
 
 // pgStride is the number of cached floats per gate in Accumulator.pg:
@@ -238,35 +262,44 @@ const pgStride = 3
 // NewAccumulator builds the factored state for the design's current
 // assignment.
 func NewAccumulator(d *core.Design) (*Accumulator, error) {
-	exps := exponents(d)
+	if d.Circuit.NumGates() == 0 {
+		return nil, fmt.Errorf("leakage: circuit has no logic gates")
+	}
 	k := d.Var.NumPC
 	a := &Accumulator{
 		d:    d,
-		exps: exps,
+		exps: exponents(d),
 		k:    k,
 		pg:   make([]float64, pgStride*d.Circuit.NumNodes()),
 		v:    make([]float64, k),
 		b:    make([]float64, k*k),
 	}
-	any := false
-	for _, g := range d.Circuit.Gates() {
-		if g.Type == logic.Input {
-			continue
-		}
-		any = true
-		a.addGate(g.ID, +1)
-	}
-	if !any {
-		return nil, fmt.Errorf("leakage: circuit has no logic gates")
-	}
+	a.Reset()
 	return a, nil
+}
+
+// Reset recomputes the factored state for the design's current
+// assignment in place: it zeroes the sums and re-adds every gate in ID
+// order, so the state is bitwise a fresh NewAccumulator's. The
+// exponent statistics are kept (they depend only on placement and
+// technology). It allocates nothing.
+func (a *Accumulator) Reset() {
+	a.M, a.Q, a.d1, a.d2, a.gateLeak, a.second2 = 0, 0, 0, 0, 0, 0
+	clear(a.v)
+	clear(a.b)
+	for _, g := range a.d.Circuit.Gates() {
+		if g.Type != logic.Input {
+			a.addGate(g.ID, +1)
+		}
+	}
 }
 
 // CloneFor returns an independent copy of the factored state bound to
 // d, which must be a clone of the original design in the same
 // assignment state. The exponent statistics are shared (they depend
 // only on placement and technology, not on the assignment); all
-// accumulated sums are deep-copied so the clone can Update freely.
+// accumulated sums are deep-copied so the clone can Update freely. The
+// clone builds its own exact-analysis table if it needs one.
 func (a *Accumulator) CloneFor(d *core.Design) *Accumulator {
 	return &Accumulator{
 		d:        d,
@@ -328,7 +361,12 @@ func (a *Accumulator) Update(id int) {
 
 // Analysis produces the moment-matched view of the current state.
 func (a *Accumulator) Analysis() (*Analysis, error) {
-	mean := a.M
+	return finish(a.M, a.second(), a.gateLeak)
+}
+
+// second folds the current sums into the second raw moment of the
+// subthreshold total.
+func (a *Accumulator) second() float64 {
 	v2 := 0.0
 	for _, x := range a.v {
 		v2 += x * x
@@ -337,7 +375,7 @@ func (a *Accumulator) Analysis() (*Analysis, error) {
 	for _, x := range a.b {
 		bf += x * x
 	}
-	return finish(mean, secondMoment(a.M, a.Q, v2, a.d1, bf, a.d2, a.second2), a.gateLeak)
+	return secondMoment(a.M, a.Q, v2, a.d1, bf, a.d2, a.second2)
 }
 
 // secondMoment folds the factored sums into the second raw moment of
@@ -388,13 +426,36 @@ func (a *Accumulator) QuantileIf(id int, subNW, gateNW, z float64) float64 {
 	return gateLeak + math.Exp(fit.Mu+fit.Sigma*z)
 }
 
-// Quantile is a convenience for Analysis().Quantile(p); it returns
-// NaN on an internal moment-matching failure (impossible for a live
-// design, which always has positive mean leakage).
+// Quantile returns Analysis().Quantile(p) without building the
+// Analysis, bit for bit; it returns NaN on an internal moment-matching
+// failure (impossible for a live design, which always has positive
+// mean leakage).
 func (a *Accumulator) Quantile(p float64) float64 {
-	an, err := a.Analysis()
+	fit, _, err := fitMoments(a.M, a.second())
 	if err != nil {
 		return math.NaN()
 	}
-	return an.Quantile(p)
+	return a.gateLeak + fit.Quantile(p)
+}
+
+// ExactQuantile returns the p-quantile of total leakage [nW] from the
+// exact pairwise analysis of the design's current assignment: bitwise
+// Exact(d).Quantile(p), through the same loops. It reuses the
+// accumulator's exponent statistics and a cell-pair table built on the
+// first call, so later calls cost the O(n²) pair loop and allocate
+// nothing.
+func (a *Accumulator) ExactQuantile(p float64) (float64, error) {
+	if a.exact == nil {
+		t, err := newExactTable(a.d, a.exps)
+		if err != nil {
+			return 0, err
+		}
+		a.exact = t
+	}
+	mean, second, gateLeak := a.exact.moments(a.d)
+	fit, _, err := fitMoments(mean, second)
+	if err != nil {
+		return 0, err
+	}
+	return gateLeak + fit.Quantile(p), nil
 }

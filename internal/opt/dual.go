@@ -90,6 +90,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 	}
 	blacklist := newMoveSet(d)
 	var q0, lq float64 // pre-move delay quantile / post-move leakage quantile
+	var path []int     // the round's statistical critical path
 	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "dual",
 		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
@@ -101,7 +102,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 				return nil, err
 			}
 			d := e.Design()
-			path := statCriticalPath(d, sr, kappa)
+			path = statCriticalPath(d, sr, kappa, path[:0])
 			q0 = sr.Quantile(o.YieldTarget)
 
 			// Best speedup candidate on the statistically critical path,

@@ -68,6 +68,7 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 	if !o.EnableSizing {
 		margins = margins[:1]
 	}
+	sc := newStatScan(e, o)
 	for _, m := range margins {
 		if err := statPhaseA(ctx, e, o, o.TmaxPs*m, res); err != nil {
 			return nil, err
@@ -79,7 +80,7 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 		if q > o.TmaxPs {
 			break // the real yield constraint is out of reach
 		}
-		if err := statPhaseB(ctx, e, o, res); err != nil {
+		if err := statPhaseB(ctx, e, o, sc, res); err != nil {
 			return nil, err
 		}
 		q, err = e.ExactLeakQuantile(o.LeakPercentile)
@@ -115,6 +116,8 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 	base := res.Moves // accumulated across the margin sweep
 	blacklist := make(map[int]bool)
 	var q0 float64 // delay quantile before the round's move
+	var path []int // the round's statistical critical path
+	var round search.Round
 	iter := -1
 	tally, err := search.Run(ctx, e, search.Policy{
 		Optimizer: "statistical",
@@ -132,7 +135,7 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 				return nil, err
 			}
 			d := e.Design()
-			path := statCriticalPath(d, sr, kappa)
+			path = statCriticalPath(d, sr, kappa, path[:0])
 			bestID := -1
 			bestEst := -slackEps
 			for _, id := range path {
@@ -153,12 +156,14 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 				return nil, nil
 			}
 			mv, ok := engine.NewUpsize(d, bestID)
+			round.Moves = round.Moves[:0]
 			if !ok {
 				// Spend the round; something else must change first.
 				blacklist[bestID] = true
-				return &search.Round{}, nil
+				return &round, nil
 			}
-			return &search.Round{Moves: []engine.Move{mv}}, nil
+			round.Moves = append(round.Moves, mv)
+			return &round, nil
 		},
 		Verify: func() (bool, error) {
 			q1, err := e.DelayQuantile(o.YieldTarget)
@@ -172,7 +177,7 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 			o.report(Progress{Optimizer: "statistical", Phase: "sizing", Moves: base + t.Moves, Round: t.Rounds})
 			// Progress invalidates stale blacklist knowledge.
 			if len(blacklist) > 0 && iter%16 == 0 {
-				blacklist = make(map[int]bool)
+				clear(blacklist)
 			}
 			return nil
 		},
@@ -187,14 +192,15 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 // incrementally — only the fanout cones of moved gates are re-timed —
 // and candidates are scored read-only against the leakage
 // accumulator, which is what keeps large-circuit optimization in
-// seconds.
-func statPhaseB(ctx context.Context, e *engine.Family, o Options, res *StatResult) error {
+// seconds. The scan sc is the run's; each phase B starts with no move
+// blocked.
+func statPhaseB(ctx context.Context, e *engine.Family, o Options, sc *statScan, res *StatResult) error {
 	d := e.Design()
 	maxMoves := o.MaxMoves
 	if maxMoves == 0 {
 		maxMoves = 10 * d.Circuit.NumGates()
 	}
-	sc := newStatScan(e, o)
+	clear(sc.blocked)
 	// Batch size: enough to amortize the slack refresh, small enough
 	// that per-gate slack bookkeeping stays honest.
 	batchCap := d.Circuit.NumGates() / 64
@@ -218,7 +224,7 @@ func statPhaseB(ctx context.Context, e *engine.Family, o Options, res *StatResul
 
 			// Select greedily against a consumable per-gate slack budget.
 			clear(budget)
-			selected := sc.round[:0]
+			selected := sc.round.Moves[:0]
 			for _, cand := range cands {
 				if len(selected) >= batchCap || base+t.Moves+len(selected) >= maxMoves {
 					break
@@ -234,11 +240,11 @@ func statPhaseB(ctx context.Context, e *engine.Family, o Options, res *StatResul
 				budget[id] = b - cand.dMetric
 				selected = append(selected, cand.mv)
 			}
-			sc.round = selected
+			sc.round = search.Round{Moves: selected, Mode: search.Batch}
 			if len(selected) == 0 {
 				return nil, nil
 			}
-			return &search.Round{Moves: selected, Mode: search.Batch}, nil
+			return &sc.round, nil
 		},
 		Verify: func() (bool, error) {
 			y, err := e.Yield()
@@ -286,12 +292,12 @@ func statPhaseB(ctx context.Context, e *engine.Family, o Options, res *StatResul
 			if err != nil || len(cands) == 0 {
 				return nil, err
 			}
-			moves := sc.round[:0]
+			moves := sc.round.Moves[:0]
 			for _, cand := range cands {
 				moves = append(moves, cand.mv)
 			}
-			sc.round = moves
-			return &search.Round{Moves: moves}, nil
+			sc.round = search.Round{Moves: moves}
+			return &sc.round, nil
 		},
 		Verify: func() (bool, error) {
 			y, err := e.Yield()
@@ -343,10 +349,11 @@ func byScoreDesc(a, b statCand) int {
 }
 
 // statScan is phase B's candidate scan. It keeps every buffer a round
-// needs across rounds — the slack, score, candidate, scored-move and
-// round-move slices — plus one boxed move per gate and family, reused
-// while the gate's From state still matches, and the dense set of
-// blocked moves.
+// needs across rounds, and across the margin sweep — the slack, score,
+// candidate and scored-move slices and the round it proposes — plus
+// one boxed move per gate and family, reused while the gate's From
+// state still matches, and the dense set of blocked moves, so a round
+// allocates nothing once the buffers have grown.
 type statScan struct {
 	e       *engine.Family
 	o       Options
@@ -356,7 +363,7 @@ type statScan struct {
 	scores []engine.Score
 	cands  []statCand
 	moves  []engine.Move // the candidates' moves, as scored
-	round  []engine.Move // the moves a round proposes
+	round  search.Round  // the moves a round proposes
 
 	swaps, downs []engine.Move // per gate: LVT→HVT swap, one-step downsize
 }
@@ -443,8 +450,9 @@ func (sc *statScan) candidates(ctx context.Context, safety float64) ([]statCand,
 }
 
 // statCriticalPath walks back from the statistically worst primary
-// output along the fanin with the largest mean+κσ arrival.
-func statCriticalPath(d *core.Design, sr *ssta.Result, kappa float64) []int {
+// output along the fanin with the largest mean+κσ arrival. It writes
+// the path, launch point first, into dst[:0] and returns it.
+func statCriticalPath(d *core.Design, sr *ssta.Result, kappa float64, dst []int) []int {
 	metric := func(id int) float64 {
 		a := sr.Arrival(id)
 		return a.Mean + kappa*a.Sigma()
@@ -464,7 +472,7 @@ func statCriticalPath(d *core.Design, sr *ssta.Result, kappa float64) []int {
 			worst, worstM = f, m
 		}
 	}
-	var rev []int
+	rev := dst[:0]
 	id := worst
 	for first := true; ; first = false {
 		rev = append(rev, id)

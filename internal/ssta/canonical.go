@@ -161,15 +161,3 @@ func copyInto(dst *Canonical, src Canonical) {
 	copy(dst.Sens, src.Sens)
 	dst.Rand = src.Rand
 }
-
-// MaxAll folds Max over a non-empty set of forms.
-func MaxAll(forms []Canonical) Canonical {
-	if len(forms) == 0 {
-		panic("ssta: MaxAll of empty set")
-	}
-	acc := forms[0].Clone()
-	for _, f := range forms[1:] {
-		acc = Max(acc, f)
-	}
-	return acc
-}

@@ -17,8 +17,10 @@ import (
 // copies. Use Arrival(id) for the canonical view of one node.
 type Result struct {
 	// Delay is the canonical circuit delay: the statistical max over
-	// the primary-output arrivals. Its Sens slice is freshly allocated
-	// on every refold, so holding the value across updates is safe.
+	// the timing endpoints. Under an Incremental its Sens slice is one
+	// of two timer-owned buffers the refold alternates between: like
+	// an Arrival, treat it as read-only and re-fetch it after any
+	// Update, Undo or Reset (Clone it to hold it across one).
 	Delay Canonical
 	// NumPC is the dimension of the global variation vector.
 	NumPC int
@@ -103,56 +105,16 @@ var metFull = obs.Default.Counter("statleak_ssta_full_analyses_total",
 	"full block-based SSTA runs (initial builds and periodic refreshes)")
 
 // Analyze runs block-based SSTA over the design and returns the
-// canonical arrival forms and the circuit-delay form.
+// canonical arrival forms and the circuit-delay form. It is the
+// forward pass of Incremental.Reset, run once in a fresh Result.
 func Analyze(d *core.Design) (*Result, error) {
-	metFull.Inc()
 	order, err := d.Circuit.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	n := d.Circuit.NumNodes()
-	numPC := d.Var.NumPC
-	r := newResult(n, numPC)
-	for _, id := range order {
-		g := d.Circuit.Gate(id)
-		switch g.Type {
-		case logic.Input:
-			// The row is already zero — a deterministic t=0 arrival.
-			continue
-		case logic.Dff:
-			// Launch point: the clock edge plus the (variational)
-			// clock-to-Q delay; the data-pin arrival constrains the
-			// endpoint fold below, not this node.
-			r.setArrival(id, GateDelayCanonical(d, id))
-			continue
-		}
-		var in Canonical
-		switch len(g.Fanin) {
-		case 1:
-			in = r.Arrival(g.Fanin[0])
-		default:
-			in = r.Arrival(g.Fanin[0])
-			for _, f := range g.Fanin[1:] {
-				in = Max(in, r.Arrival(f))
-			}
-		}
-		r.setArrival(id, Add(in, GateDelayCanonical(d, id)))
-	}
-	// Circuit delay: statistical max over all timing endpoints —
-	// primary outputs, and flip-flop data pins shifted by the setup
-	// time (the minimum clock period for sequential circuits).
-	setup := d.Lib.P.DffSetupPs
-	var endpoints []Canonical
-	for _, o := range d.Circuit.Outputs() {
-		endpoints = append(endpoints, r.Arrival(o))
-	}
-	for _, f := range d.Circuit.Dffs() {
-		capture := r.Arrival(d.Circuit.Gate(f).Fanin[0]).Clone()
-		capture.Mean += setup
-		endpoints = append(endpoints, capture)
-	}
-	r.Delay = MaxAll(endpoints)
-	return r, nil
+	inc := newTimer(d, order)
+	inc.Reset()
+	return inc.res, nil
 }
 
 // Yield returns the timing yield P(delay ≤ tmax) under the Gaussian
