@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixture"
+	"repro/internal/leakage"
 	"repro/internal/scenario"
 	"repro/internal/ssta"
 	"repro/internal/sta"
@@ -235,6 +236,57 @@ func TestFamilyAggregation(t *testing.T) {
 				t.Fatalf("family slack[%d]=%v above corner slack %v", i, slack[i], v)
 			}
 		}
+	}
+}
+
+// TestFamilyExactLeakQuantileBuildsAccumulator: on a fresh family,
+// before any other leakage query, ExactLeakQuantile builds every
+// corner's accumulator and returns leakage.Exact's quantile per
+// corner, aggregated over the matrix, bit for bit; and it still does
+// after moves have updated the accumulators it built. One corner and
+// four.
+func TestFamilyExactLeakQuantileBuildsAccumulator(t *testing.T) {
+	for _, matrix := range []*scenario.Matrix{nil, fourCornerSpec(t)} {
+		f := testFamily(t, "s432", Config{}, matrix)
+		for _, e := range f.engines {
+			if e.acc != nil {
+				t.Fatal("a fresh corner already has a leakage accumulator")
+			}
+		}
+		check := func(label string) {
+			t.Helper()
+			got, err := f.ExactLeakQuantile(0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := make([]float64, len(f.engines))
+			for i, e := range f.engines {
+				if e.acc == nil {
+					t.Fatalf("%s: corner %d has no accumulator after ExactLeakQuantile", label, i)
+				}
+				an, err := leakage.Exact(e.d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				per[i] = an.Quantile(0.99)
+			}
+			if want := f.aggregate(per); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, %d corners: ExactLeakQuantile %v, want leakage.Exact's %v",
+					label, len(f.engines), got, want)
+			}
+		}
+		check("fresh")
+		d := f.Design()
+		ids := gateIDs(d)
+		rng := rand.New(rand.NewSource(5))
+		for step := 0; step < 20; step++ {
+			if m, ok := randomMove(d, ids, rng); ok {
+				if err := f.Apply(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check("after moves")
 	}
 }
 

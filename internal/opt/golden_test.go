@@ -35,8 +35,8 @@ type goldenEntry struct {
 	Circuit string `json:"circuit"`
 
 	// Table 2 (deterministic recovery, combinational); the scenario
-	// table's deterministic rows reuse FullLeakNW for the final
-	// design's TotalLeak.
+	// table's deterministic rows and the sizing table reuse FullLeakNW
+	// for the final design's TotalLeak.
 	SizedLeakNW string `json:"sized_leak_nw,omitempty"`
 	FullLeakNW  string `json:"full_leak_nw,omitempty"`
 	VthSwaps    int    `json:"vth_swaps,omitempty"`
@@ -66,13 +66,14 @@ func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
 const goldenPath = "testdata/golden_scoreboard.json"
 
-// computeGolden reruns the T2/T3/S1 scoreboard flows on the small end
-// of both synthetic suites (no Monte Carlo — the analytic scoreboard is
-// what the optimizers steer by and is deterministic). mutate, when
-// non-nil, adjusts every prepared Options before the optimizers run —
-// the hook the scenario-equivalence test uses to route the same flows
-// through a 1×1 corner family — and leaves out the "scenario" table,
-// whose runs set their own matrix.
+// computeGolden reruns the T2/T3/S1 scoreboard flows, plus a
+// sizing-only statistical run per combinational circuit, on the small
+// end of both synthetic suites (no Monte Carlo — the analytic
+// scoreboard is what the optimizers steer by and is deterministic).
+// mutate, when non-nil, adjusts every prepared Options before the
+// optimizers run — the hook the scenario-equivalence test uses to route
+// the same flows through a 1×1 corner family — and leaves out the
+// "scenario" table, whose runs set their own matrix.
 func computeGolden(t testing.TB, mutate func(*opt.Options)) *goldenFile {
 	t.Helper()
 	ctx := exp.NewContext(io.Discard)
@@ -127,6 +128,27 @@ func computeGolden(t testing.TB, mutate func(*opt.Options)) *goldenFile {
 			StatMeanNW: hexf(pair.StatRes.LeakMeanNW),
 			StatYield:  hexf(pair.StatRes.YieldAtTmax),
 			StatMoves:  pair.StatRes.Moves,
+		})
+
+		// Sizing-only statistical run at Tmax = 1.5·Dmin. Every gate
+		// starts at the minimum size and meets it, so the first
+		// margins' phase B finds no candidate: the margin sweep's exact
+		// leakage query is the first to build the leakage accumulator
+		// the later margins score against.
+		oSz := pr.Opt
+		oSz.EnableVth = false
+		oSz.TmaxPs = 1.5 * pr.DminPs
+		sz := pr.Base.Clone()
+		szRes, err := opt.Statistical(sz, oSz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Table["sizing"] = append(out.Table["sizing"], goldenEntry{
+			Circuit:    name,
+			FullLeakNW: hexf(sz.TotalLeak()),
+			SizeDowns:  szRes.SizeDowns,
+			StatQ99NW:  hexf(szRes.LeakPctNW),
+			StatMoves:  szRes.Moves,
 		})
 	}
 
