@@ -55,10 +55,12 @@ race:
 
 # scenario runs the corner-family suite under the race detector: the
 # Family's cross-corner scoring and mirroring, the scenario matrix itself,
-# and the 1×1-matrix golden equivalence guard (family must retrace the
-# single-engine trajectories bit-for-bit).
+# the 1×1-matrix golden equivalence guard (family must retrace the
+# single-engine trajectories bit-for-bit), and the end-state check
+# (a run's reported end state equals fresh analyses of its design,
+# scenario matrices included).
 scenario:
-	$(GO) test -race -run 'TestFamily|TestScenario|TestCornerView|TestNominalMatrix' ./internal/engine ./internal/scenario ./internal/core ./internal/opt
+	$(GO) test -race -run 'TestFamily|TestScenario|TestCornerView|TestNominalMatrix|TestStatEndState' ./internal/engine ./internal/scenario ./internal/core ./internal/opt
 
 # chaos runs the fault-injection suite — server.FailPoints panics and
 # hangs driving the worker pool's recovery, deadline, and retry/backoff
