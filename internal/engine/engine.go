@@ -19,8 +19,9 @@
 //     rejected try) restores the rows that update overwrote instead of
 //     re-timing.
 //   - The leakage percentile is maintained by leakage.Accumulator in
-//     O(k²) per move; the exact pairwise sum stays in package leakage
-//     for final scoreboards.
+//     O(k²) per move. The exact pairwise sum, which the margin sweep
+//     and a run's end state read, runs over the accumulator's per-cell
+//     exponent records and a cell-pair table it keeps.
 //   - Both caches are built lazily: a purely corner-based consumer
 //     (the deterministic optimizer) never pays for SSTA state.
 //   - The deterministic corner analysis keeps its own per-node memo of
@@ -229,10 +230,12 @@ func (e *Engine) noteChange(m Move, revert bool) {
 // current Vth/size assignment, in the caches' own buffers, discarding
 // accumulated floating-point drift: the rows and sums it leaves are
 // bitwise those of freshly built caches. A caller who changed the
-// assignment directly (Design.CopyAssignmentFrom) must call it before
-// the next query. It keeps what the caches derived from the rest of
-// the design — topological order, timing endpoints, leakage exponent
-// statistics — so any other change to the design (netlist, placement,
+// assignment directly (Design.CopyAssignmentFrom, as an optimizer
+// restoring its incumbent does) must call it before the next query. It
+// keeps what the caches derived from the rest of the design —
+// topological order, timing endpoints, each gate's grid cell, the
+// per-cell leakage exponent records and the exact analysis's cell-pair
+// table — so any other change to the design (netlist, placement,
 // variation model, library) needs a new engine. It allocates nothing.
 func (e *Engine) Refresh() {
 	t0 := time.Now()

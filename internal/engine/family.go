@@ -128,6 +128,15 @@ func (f *Family) Revert(m Move) error {
 // assignment).
 func (f *Family) Design() *core.Design { return f.base }
 
+// Refresh refreshes every corner's caches (Engine.Refresh). A caller
+// who changed the shared assignment directly
+// (Design.CopyAssignmentFrom) calls it before the next query.
+func (f *Family) Refresh() {
+	for _, e := range f.engines {
+		e.Refresh()
+	}
+}
+
 // CornerOffsets returns the primary corner's deterministic process-
 // corner excursion.
 func (f *Family) CornerOffsets() (dLnm, dVthV float64) { return f.engines[0].CornerOffsets() }
@@ -296,6 +305,33 @@ func (f *Family) ExactLeakQuantile(p float64) (float64, error) {
 		f.per[i] = q
 	}
 	return f.aggregate(f.per), nil
+}
+
+// BaseAnalyses returns the base design's statistical timing view and
+// its exact leakage analysis, read from the primary corner's caches
+// (either is built here if no query has built it yet). Right after a
+// Refresh, or on caches no move has touched, they are bitwise
+// ssta.Analyze and leakage.Exact of the base design; incremental
+// updates leave timing rows within their cut-off of a fresh analysis,
+// not bitwise on it. ok is false, and nothing is read, when the primary
+// corner is a view of the base design with its own library (the rule
+// LoadDelay follows). The timing view is the engine's, valid as
+// Engine.Timing's.
+func (f *Family) BaseAnalyses() (timing *ssta.Result, leak *leakage.Analysis, ok bool, err error) {
+	e := f.engines[0]
+	if e.d != f.base {
+		return nil, nil, false, nil
+	}
+	if timing, err = e.Timing(); err != nil {
+		return nil, nil, false, err
+	}
+	if err = e.ensureAcc(); err != nil {
+		return nil, nil, false, err
+	}
+	if leak, err = e.acc.ExactAnalysis(); err != nil {
+		return nil, nil, false, err
+	}
+	return timing, leak, true, nil
 }
 
 // TotalLeak returns the corner-aggregated nominal total leakage [nW].

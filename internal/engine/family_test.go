@@ -290,6 +290,80 @@ func TestFamilyExactLeakQuantileBuildsAccumulator(t *testing.T) {
 	}
 }
 
+// TestFamilyBaseAnalysesAfterRestore restores an earlier assignment
+// behind the family's back, as an optimizer restores its incumbent,
+// and refreshes: BaseAnalyses must then read bitwise ssta.Analyze and
+// leakage.Exact of the base design from the primary corner's caches,
+// on one corner and under a matrix whose first corner is nominal. When
+// the first corner is a view, it reads nothing.
+func TestFamilyBaseAnalysesAfterRestore(t *testing.T) {
+	nominalFirst, err := (&scenario.Spec{Corners: []string{"vn", "vh"}}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		matrix *scenario.Matrix
+		ok     bool
+	}{{nil, true}, {nominalFirst, true}, {fourCornerSpec(t), false}} {
+		f := testFamily(t, "s432", Config{}, tc.matrix)
+		d := f.Design()
+		ids := gateIDs(d)
+		rng := rand.New(rand.NewSource(13))
+		var incumbent *core.Design
+		for step := 0; step < 60; step++ {
+			if step == 20 {
+				incumbent = d.Clone()
+			}
+			if m, ok := randomMove(d, ids, rng); ok {
+				if err := f.Apply(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := f.Yield(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.CopyAssignmentFrom(incumbent)
+		f.Refresh()
+		sr, an, ok, err := f.BaseAnalyses()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.ok {
+			t.Fatalf("%d corners: BaseAnalyses ok = %v, want %v", len(f.engines), ok, tc.ok)
+		}
+		if !ok {
+			if sr != nil || an != nil {
+				t.Errorf("%d corners: BaseAnalyses read a view's caches", len(f.engines))
+			}
+			continue
+		}
+		wantSR, err := ssta.Analyze(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAn, err := leakage.Exact(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"delay mean", sr.Delay.Mean, wantSR.Delay.Mean},
+			{"delay sigma", sr.Delay.Sigma(), wantSR.Delay.Sigma()},
+			{"yield", sr.Yield(1000), wantSR.Yield(1000)},
+			{"leak mean", an.MeanNW, wantAn.MeanNW},
+			{"leak std", an.StdNW, wantAn.StdNW},
+			{"leak q99", an.Quantile(0.99), wantAn.Quantile(0.99)},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%d corners: %s %v, fresh analysis %v", len(f.engines), c.what, c.got, c.want)
+			}
+		}
+	}
+}
+
 // TestFamilyRevertRestoresCorners applies moves through the Family,
 // peels the newest and reverts the rest: every corner must land exactly
 // on its pre-run metrics.

@@ -39,7 +39,7 @@ func midSwap(tb testing.TB) (*core.Design, engine.Move) {
 // s1908: Apply of one candidate (an LVT→HVT swap of the gate halfway
 // down the topological order), the yield check, and the Revert. The
 // Revert of the move just applied restores the timing rows instead of
-// re-timing the cone.
+// re-timing the cone. Both caches are built before the timer starts.
 func BenchmarkEngineRejectedTry(b *testing.B) {
 	d, mv := midSwap(b)
 	sr, err := ssta.Analyze(d)
@@ -51,6 +51,9 @@ func BenchmarkEngineRejectedTry(b *testing.B) {
 		b.Fatal(err)
 	}
 	if _, err := e.LeakQuantile(0.99); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Yield(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -262,6 +265,37 @@ func TestFamilyExactLeakQuantileAllocatesNothing(t *testing.T) {
 		})
 		if allocs > 0 {
 			t.Errorf("ExactLeakQuantile allocates %g times, want 0", allocs)
+		}
+	}
+}
+
+// TestFamilyEndStateReadAllocatesOnlyTheAnalysis: once the caches and
+// the exact-analysis table exist, refreshing every corner and reading
+// the base design's end state allocate nothing but the returned
+// leakage analysis, on one corner and on a nominal-first pair.
+func TestFamilyEndStateReadAllocatesOnlyTheAnalysis(t *testing.T) {
+	d, err := fixture.Suite("s880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := (&scenario.Spec{Corners: []string{"vn", "vh"}}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, matrix := range []*scenario.Matrix{nil, pair} {
+		f, err := engine.NewFamily(d, engine.Config{TmaxPs: 1000}, matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			f.Refresh()
+			if _, _, ok, err := f.BaseAnalyses(); err != nil || !ok {
+				t.Fatalf("BaseAnalyses: ok %v, err %v", ok, err)
+			}
+		}
+		read() // warm-up: builds the caches and the cell-pair table
+		if allocs := testing.AllocsPerRun(5, read); allocs > 1 {
+			t.Errorf("a refresh and an end-state read allocate %g times, want at most 1 (the analysis)", allocs)
 		}
 	}
 }

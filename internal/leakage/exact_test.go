@@ -15,7 +15,7 @@ import (
 // exactPairwise is the reference Exact: the O(n²k) pair loop that
 // evaluates exp(e_i·e_j) afresh for every gate pair.
 func exactPairwise(d *core.Design) (*Analysis, error) {
-	exps := exponents(d)
+	exps := newExponents(d)
 	var ids []int
 	for _, g := range d.Circuit.Gates() {
 		if g.Type != logic.Input {
@@ -25,7 +25,7 @@ func exactPairwise(d *core.Design) (*Analysis, error) {
 	gateLeak := 0.0
 	m := make([]float64, len(ids))
 	for i, id := range ids {
-		m[i] = d.GateSubLeak(id) * exps[id].expHalf
+		m[i] = d.GateSubLeak(id) * exps.of(id).expHalf
 		gateLeak += d.GateGateLeak(id)
 	}
 	mean := 0.0
@@ -34,11 +34,11 @@ func exactPairwise(d *core.Design) (*Analysis, error) {
 	}
 	second := 0.0
 	for i, idi := range ids {
-		exi := &exps[idi]
+		exi := exps.of(idi)
 		second += m[i] * m[i] * exi.expFull
 		ei := exi.e
 		for j := i + 1; j < len(ids); j++ {
-			ej := exps[ids[j]].e[:len(ei)]
+			ej := exps.of(ids[j]).e[:len(ei)]
 			cov := 0.0
 			for k, v := range ei {
 				cov += v * ej[k]
@@ -46,7 +46,8 @@ func exactPairwise(d *core.Design) (*Analysis, error) {
 			second += 2 * m[i] * m[j] * math.Exp(cov)
 		}
 	}
-	return finish(mean, second, gateLeak)
+	an, err := finish(mean, second, gateLeak)
+	return &an, err
 }
 
 // randomize assigns every logic gate a random Vth class and ladder

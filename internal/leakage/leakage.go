@@ -51,11 +51,13 @@ func (a *Analysis) Quantile(p float64) float64 {
 	return a.GateLeakNW + a.Fit.Quantile(p)
 }
 
-// exponent carries the (assignment-independent) exponent statistics of
-// one gate: loading onto the globals and the independent variance. The
-// two exp factors every accumulator update needs are precomputed here
-// — they depend only on placement and technology, so hoisting them out
-// of the per-move hot path changes no arithmetic, just where it runs.
+// exponent carries the (assignment-independent) exponent statistics
+// of the gates in one grid cell: loading onto the globals and the
+// independent variance. Every gate in a cell reads the same
+// variation.Model.Loads row, so they all share one record. The two exp
+// factors every accumulator update needs are precomputed here — they
+// depend only on placement and technology, so hoisting them out of the
+// per-move hot path changes no arithmetic, just where it runs.
 type exponent struct {
 	e       []float64 // −β·k_roll·a_k(x,y): loading of X_i on Z
 	s2ind   float64   // Var of the private part of X_i
@@ -64,36 +66,55 @@ type exponent struct {
 	expFull float64   // exp(|e|²+s²): the E[L_i²] diagonal factor
 }
 
-// exponents precomputes the per-gate exponent statistics. They depend
-// only on placement and the technology's leakage sensitivities — not
-// on the Vth/size assignment — which is what makes incremental
-// optimizer updates cheap.
-func exponents(d *core.Design) []exponent {
+// exponents holds a design's exponent statistics: one record per grid
+// cell that holds a logic gate (a cell without one keeps a zero record,
+// e == nil), and each logic gate's cell. They depend only on placement
+// and the technology's leakage sensitivities — not on the Vth/size
+// assignment — which is what makes incremental optimizer updates
+// cheap.
+type exponents struct {
+	cells []exponent // indexed by grid cell
+	cell  []int      // indexed by node ID: the gate's grid cell
+}
+
+// of returns the exponent record of logic gate id.
+func (x *exponents) of(id int) *exponent { return &x.cells[x.cell[id]] }
+
+// newExponents builds the records of d's occupied grid cells, each
+// with the arithmetic a per-gate record would use, so every value is
+// bitwise that gate's. It allocates three slices whatever the circuit.
+func newExponents(d *core.Design) exponents {
 	bL, bV := d.Lib.LeakExponents()
 	vm := d.Var
-	n := d.Circuit.NumNodes()
-	out := make([]exponent, n)
+	k := vm.NumPC
+	nc := vm.Cfg.GridDim * vm.Cfg.GridDim
+	x := exponents{cells: make([]exponent, nc), cell: make([]int, d.Circuit.NumNodes())}
+	rows := make([]float64, nc*k) // the cells' loading rows, back to back
+	sL := bL * vm.SigmaIndNm()
+	sV := bV * vm.SigmaVthInd()
+	s2 := sL*sL + sV*sV
 	for _, g := range d.Circuit.Gates() {
 		if g.Type == logic.Input {
 			continue
 		}
-		loads := vm.Loads(g.X, g.Y)
-		e := make([]float64, len(loads))
-		n2 := 0.0
-		for k, a := range loads {
-			e[k] = -bL * a
-			n2 += e[k] * e[k]
+		c := vm.CellOf(g.X, g.Y)
+		x.cell[g.ID] = c
+		if x.cells[c].e != nil {
+			continue
 		}
-		sL := bL * vm.SigmaIndNm()
-		sV := bV * vm.SigmaVthInd()
-		s2 := sL*sL + sV*sV
-		out[g.ID] = exponent{
+		e := rows[c*k : (c+1)*k : (c+1)*k]
+		n2 := 0.0
+		for j, a := range vm.Loads(g.X, g.Y) {
+			e[j] = -bL * a
+			n2 += e[j] * e[j]
+		}
+		x.cells[c] = exponent{
 			e: e, s2ind: s2, normE2: n2,
 			expHalf: math.Exp(0.5 * (n2 + s2)),
 			expFull: math.Exp(n2 + s2),
 		}
 	}
-	return out
+	return x
 }
 
 // Exact computes the reference moment-matched analysis with the full
@@ -103,103 +124,95 @@ func exponents(d *core.Design) []exponent {
 // table in i<j order, so the result is bitwise that of evaluating the
 // exponential per gate pair (a test pins this).
 func Exact(d *core.Design) (*Analysis, error) {
-	t, err := newExactTable(d, exponents(d))
+	t, err := newExactTable(d, newExponents(d))
 	if err != nil {
 		return nil, err
 	}
-	return finish(t.moments(d))
+	an, err := finish(t.moments(d))
+	if err != nil {
+		return nil, err
+	}
+	return &an, nil
 }
 
 // exactTable is the assignment-independent half of the exact
 // analysis: the exponent statistics, the logic gates in ID order, each
-// one's grid cell, and covExp[a][b] = exp(e_a·e_b) over the occupied
-// cells; plus the E[L_i] buffer the pair loop fills per call.
+// one's grid cell, and covExp[a·nc+b] = exp(e_a·e_b) for occupied
+// cells a and b of the nc grid cells; plus the E[L_i] buffer the pair
+// loop fills per call.
 type exactTable struct {
-	exps   []exponent
+	exps   exponents
 	ids    []int
-	cell   []int
-	covExp [][]float64
+	cell   []int // index-aligned with ids
+	covExp []float64
 	m      []float64 // E[L_i], index-aligned with ids
 }
 
-func newExactTable(d *core.Design, exps []exponent) (*exactTable, error) {
-	var ids []int
-	for _, g := range d.Circuit.Gates() {
-		if g.Type != logic.Input {
-			ids = append(ids, g.ID)
-		}
-	}
-	if len(ids) == 0 {
+func newExactTable(d *core.Design, exps exponents) (*exactTable, error) {
+	n := d.Circuit.NumGates()
+	if n == 0 {
 		return nil, fmt.Errorf("leakage: circuit has no logic gates")
 	}
-	cell, covExp := cellCovExp(d, ids, exps)
-	return &exactTable{exps: exps, ids: ids, cell: cell, covExp: covExp, m: make([]float64, len(ids))}, nil
+	t := &exactTable{exps: exps, ids: make([]int, 0, n), cell: make([]int, 0, n), m: make([]float64, n)}
+	for _, g := range d.Circuit.Gates() {
+		if g.Type != logic.Input {
+			t.ids = append(t.ids, g.ID)
+			t.cell = append(t.cell, exps.cell[g.ID])
+		}
+	}
+	nc := len(exps.cells)
+	t.covExp = make([]float64, nc*nc)
+	// Each dot product is summed in component order, as a per-gate-pair
+	// evaluation would sum it, which keeps Exact bitwise stable.
+	for a, xa := range exps.cells {
+		if xa.e == nil {
+			continue
+		}
+		row := t.covExp[a*nc : (a+1)*nc]
+		for b, xb := range exps.cells {
+			if xb.e == nil {
+				continue
+			}
+			eb := xb.e[:len(xa.e)]
+			cov := 0.0
+			for k, v := range xa.e {
+				cov += v * eb[k]
+			}
+			row[b] = math.Exp(cov)
+		}
+	}
+	return t, nil
 }
 
 // moments returns the first two raw moments of the subthreshold total
 // and the gate-leak offset under d's current assignment.
 func (t *exactTable) moments(d *core.Design) (mean, second, gateLeak float64) {
-	exps, ids, m := t.exps, t.ids, t.m
+	cells, ids, cell, m := t.exps.cells, t.ids, t.cell, t.m
+	nc := len(cells)
 	for i, id := range ids {
-		ex := &exps[id]
-		m[i] = d.GateSubLeak(id) * ex.expHalf
+		m[i] = d.GateSubLeak(id) * cells[cell[i]].expHalf
 		gateLeak += d.GateGateLeak(id)
 	}
 	for _, v := range m {
 		mean += v
 	}
-	for i, idi := range ids {
+	for i, c := range cell {
 		// diagonal: E[L_i²] = m0² exp(2(|e|²+s²)) = m_i²·exp(|e|²+s²)
-		second += m[i] * m[i] * exps[idi].expFull
-		row := t.covExp[t.cell[i]]
+		second += m[i] * m[i] * cells[c].expFull
+		row := t.covExp[c*nc : (c+1)*nc]
 		for j := i + 1; j < len(ids); j++ {
-			second += 2 * m[i] * m[j] * row[t.cell[j]]
+			second += 2 * m[i] * m[j] * row[cell[j]]
 		}
 	}
 	return mean, second, gateLeak
 }
 
-// cellCovExp returns the grid cell of every gate in ids (index-aligned)
-// and the table covExp[a][b] = exp(e_a·e_b) over the occupied cells.
-// Each dot product is summed in component order, as a per-gate-pair
-// evaluation would sum it, which keeps Exact bitwise stable.
-func cellCovExp(d *core.Design, ids []int, exps []exponent) (cell []int, covExp [][]float64) {
-	vm := d.Var
-	nc := vm.Cfg.GridDim * vm.Cfg.GridDim
-	cell = make([]int, len(ids))
-	rows := make([][]float64, nc) // exponent loading row per occupied cell
-	for i, id := range ids {
-		g := d.Circuit.Gate(id)
-		cell[i] = vm.CellOf(g.X, g.Y)
-		rows[cell[i]] = exps[id].e
-	}
-	covExp = make([][]float64, nc)
-	for a, ea := range rows {
-		if ea == nil {
-			continue
-		}
-		covExp[a] = make([]float64, nc)
-		for b, eb := range rows {
-			if eb == nil {
-				continue
-			}
-			eb = eb[:len(ea)]
-			cov := 0.0
-			for k, v := range ea {
-				cov += v * eb[k]
-			}
-			covExp[a][b] = math.Exp(cov)
-		}
-	}
-	return cell, covExp
-}
-
-func finish(mean, second, gateLeak float64) (*Analysis, error) {
+func finish(mean, second, gateLeak float64) (Analysis, error) {
 	fit, variance, err := fitMoments(mean, second)
 	if err != nil {
-		return nil, err
+		return Analysis{}, err
 	}
-	return &Analysis{
+	return Analysis{
 		MeanNW:     gateLeak + mean,
 		StdNW:      math.Sqrt(variance),
 		Fit:        fit,
@@ -236,7 +249,7 @@ func fitMoments(mean, second float64) (stats.Lognormal, float64, error) {
 // error is third-order; the A3 ablation quantifies it against Exact.
 type Accumulator struct {
 	d    *core.Design
-	exps []exponent
+	exps exponents
 	k    int
 
 	// pg is the per-gate cached state, structure-of-arrays with a
@@ -252,7 +265,7 @@ type Accumulator struct {
 	gateLeak float64
 	second2  float64 // Σ m_i²·diagExp_i (the exact diagonal)
 
-	exact *exactTable // built by the first ExactQuantile
+	exact *exactTable // built by the first exact analysis
 }
 
 // pgStride is the number of cached floats per gate in Accumulator.pg:
@@ -268,7 +281,7 @@ func NewAccumulator(d *core.Design) (*Accumulator, error) {
 	k := d.Var.NumPC
 	a := &Accumulator{
 		d:    d,
-		exps: exponents(d),
+		exps: newExponents(d),
 		k:    k,
 		pg:   make([]float64, pgStride*d.Circuit.NumNodes()),
 		v:    make([]float64, k),
@@ -296,10 +309,11 @@ func (a *Accumulator) Reset() {
 
 // CloneFor returns an independent copy of the factored state bound to
 // d, which must be a clone of the original design in the same
-// assignment state. The exponent statistics are shared (they depend
-// only on placement and technology, not on the assignment); all
-// accumulated sums are deep-copied so the clone can Update freely. The
-// clone builds its own exact-analysis table if it needs one.
+// assignment state. The per-cell exponent records and the gates' cells
+// are shared (they depend only on placement and technology, not on the
+// assignment); all accumulated sums are deep-copied so the clone can
+// Update freely. The clone builds its own exact-analysis table if it
+// needs one.
 func (a *Accumulator) CloneFor(d *core.Design) *Accumulator {
 	return &Accumulator{
 		d:        d,
@@ -321,7 +335,7 @@ func (a *Accumulator) CloneFor(d *core.Design) *Accumulator {
 // On removal the cached per-gate values are used, because the design's
 // assignment has typically already changed by the time Update runs.
 func (a *Accumulator) addGate(id int, sign float64) {
-	ex := &a.exps[id]
+	ex := a.exps.of(id)
 	pg := a.pg[pgStride*id : pgStride*id+pgStride]
 	if sign > 0 {
 		pg[0] = a.d.GateSubLeak(id) * ex.expHalf
@@ -361,7 +375,11 @@ func (a *Accumulator) Update(id int) {
 
 // Analysis produces the moment-matched view of the current state.
 func (a *Accumulator) Analysis() (*Analysis, error) {
-	return finish(a.M, a.second(), a.gateLeak)
+	an, err := finish(a.M, a.second(), a.gateLeak)
+	if err != nil {
+		return nil, err
+	}
+	return &an, nil
 }
 
 // second folds the current sums into the second raw moment of the
@@ -395,7 +413,7 @@ func secondMoment(M, Q, v2, d1, bf, d2, second2 float64) float64 {
 // the result is bitwise Update followed by Quantile(p) on a clone.
 // Like Quantile it returns NaN on a moment-matching failure.
 func (a *Accumulator) QuantileIf(id int, subNW, gateNW, z float64) float64 {
-	ex := &a.exps[id]
+	ex := a.exps.of(id)
 	pg := a.pg[pgStride*id : pgStride*id+pgStride]
 	m0, m1 := pg[0], subNW*ex.expHalf
 	M := a.M - m0 + m1
@@ -438,24 +456,38 @@ func (a *Accumulator) Quantile(p float64) float64 {
 	return a.gateLeak + fit.Quantile(p)
 }
 
-// ExactQuantile returns the p-quantile of total leakage [nW] from the
-// exact pairwise analysis of the design's current assignment: bitwise
-// Exact(d).Quantile(p), through the same loops. It reuses the
-// accumulator's exponent statistics and a cell-pair table built on the
-// first call, so later calls cost the O(n²) pair loop and allocate
-// nothing.
-func (a *Accumulator) ExactQuantile(p float64) (float64, error) {
-	if a.exact == nil {
-		t, err := newExactTable(a.d, a.exps)
-		if err != nil {
-			return 0, err
-		}
-		a.exact = t
+// ExactAnalysis returns the exact pairwise analysis of the design's
+// current assignment: bitwise Exact(d), through the same loops. It
+// reuses the accumulator's exponent records and a cell-pair table built
+// on the first call, so later calls cost the O(n²) pair loop and
+// allocate only the returned Analysis.
+func (a *Accumulator) ExactAnalysis() (*Analysis, error) {
+	an, err := a.analyzeExact()
+	if err != nil {
+		return nil, err
 	}
-	mean, second, gateLeak := a.exact.moments(a.d)
-	fit, _, err := fitMoments(mean, second)
+	return &an, nil
+}
+
+// ExactQuantile returns ExactAnalysis().Quantile(p), bit for bit,
+// without allocating once the table exists.
+func (a *Accumulator) ExactQuantile(p float64) (float64, error) {
+	an, err := a.analyzeExact()
 	if err != nil {
 		return 0, err
 	}
-	return gateLeak + fit.Quantile(p), nil
+	return an.Quantile(p), nil
+}
+
+// analyzeExact is the exact analysis ExactAnalysis and ExactQuantile
+// share.
+func (a *Accumulator) analyzeExact() (Analysis, error) {
+	if a.exact == nil {
+		t, err := newExactTable(a.d, a.exps)
+		if err != nil {
+			return Analysis{}, err
+		}
+		a.exact = t
+	}
+	return finish(a.exact.moments(a.d))
 }

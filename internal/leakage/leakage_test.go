@@ -256,3 +256,31 @@ func TestGatelessCircuitRejected(t *testing.T) {
 		t.Error("NewAccumulator accepted a gateless circuit")
 	}
 }
+
+// TestAllocationsPerCellNotPerGate: the accumulator and the exact
+// analysis build one exponent record per occupied grid cell, not one
+// per gate, so they allocate as many objects on s3540 as on s432.
+func TestAllocationsPerCellNotPerGate(t *testing.T) {
+	allocs := func(name string) (acc, exact float64) {
+		d := suite(t, name)
+		acc = testing.AllocsPerRun(3, func() {
+			if _, err := leakage.NewAccumulator(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		exact = testing.AllocsPerRun(3, func() {
+			if _, err := leakage.Exact(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return acc, exact
+	}
+	acc432, exact432 := allocs("s432")
+	acc3540, exact3540 := allocs("s3540")
+	if acc432 != acc3540 {
+		t.Errorf("NewAccumulator allocates %g objects on s432 and %g on s3540", acc432, acc3540)
+	}
+	if exact432 != exact3540 {
+		t.Errorf("Exact allocates %g objects on s432 and %g on s3540", exact432, exact3540)
+	}
+}

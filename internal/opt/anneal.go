@@ -183,5 +183,6 @@ func AnnealCtx(ctx context.Context, d *core.Design, o Options, cfg AnnealConfig)
 	if bestState != nil {
 		d.CopyAssignmentFrom(bestState)
 	}
+	e.Refresh() // finishStat reads the restored design from the caches
 	return finishStat(ctx, d, e, o, res, start)
 }

@@ -252,7 +252,7 @@ func DeterministicCtx(ctx context.Context, d *core.Design, o Options) (*Result, 
 		// leakage; with no scenario this is exactly d.TotalLeak().
 		if leak := e.TotalLeak(); leak < bestLeak {
 			bestLeak = leak
-			best = d.Clone()
+			best = keepAssignment(best, d)
 		}
 	}
 	if best == nil {

@@ -61,7 +61,7 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 		return nil, err
 	}
 
-	var best *core.Design
+	var best *core.Design // the incumbent: the best margin's assignment
 	bestQ := math.Inf(1)
 
 	margins := phaseAMargins
@@ -89,13 +89,28 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 		}
 		if q < bestQ {
 			bestQ = q
-			best = d.Clone()
+			best = keepAssignment(best, d)
 		}
 	}
 	if best != nil {
 		d.CopyAssignmentFrom(best)
 	}
+	// The restore bypassed the caches, and incremental updates leave
+	// timing rows within their cut-off of a fresh analysis: re-time them
+	// so finishStat reads the returned design's exact end state.
+	e.Refresh()
 	return finishStat(ctx, d, e, o, res, start)
+}
+
+// keepAssignment copies d's assignment into the incumbent buffer buf
+// and returns it, cloning d when there is no buffer yet: one design
+// buffer serves a whole run.
+func keepAssignment(buf, d *core.Design) *core.Design {
+	if buf == nil {
+		return d.Clone()
+	}
+	buf.CopyAssignmentFrom(d)
+	return buf
 }
 
 // statPhaseA upsizes statistically critical gates until the
@@ -494,17 +509,18 @@ func statCriticalPath(d *core.Design, sr *ssta.Result, kappa float64, dst []int)
 	return rev
 }
 
-// finishStat fills the end-state metrics. Under a scenario matrix it
-// also recomputes the per-corner scoreboard with fresh analyses from
-// fam and overrides the headline yield/leakage with the family
-// aggregates (min-over-corners yield, matrix-aggregated leakage
-// percentile); fam is read only then.
+// finishStat fills the end-state metrics of d. The SSTA and exact
+// leakage analyses of d come from fam's primary-corner caches when that
+// corner evaluates d itself (the caller refreshed fam after its last
+// direct change of the assignment, so they are bitwise fresh analyses),
+// and are computed fresh otherwise: with no family (EvaluateStatistical
+// on one corner) and when a scenario matrix's first corner is a view.
+// Under a scenario matrix it also recomputes the per-corner scoreboard
+// with fresh analyses from fam and overrides the headline yield/leakage
+// with the family aggregates (min-over-corners yield, matrix-aggregated
+// leakage percentile).
 func finishStat(ctx context.Context, d *core.Design, fam *engine.Family, o Options, res *StatResult, start time.Time) (*StatResult, error) {
-	sr, err := ssta.Analyze(d)
-	if err != nil {
-		return nil, err
-	}
-	an, err := leakage.Exact(d)
+	sr, an, err := endAnalyses(d, fam)
 	if err != nil {
 		return nil, err
 	}
@@ -554,6 +570,26 @@ func finishStat(ctx context.Context, d *core.Design, fam *engine.Family, o Optio
 	}
 	res.Runtime = time.Since(start)
 	return res, nil
+}
+
+// endAnalyses returns d's statistical timing view and exact leakage
+// analysis: from fam's primary-corner caches where fam evaluates d
+// there, fresh otherwise.
+func endAnalyses(d *core.Design, fam *engine.Family) (*ssta.Result, *leakage.Analysis, error) {
+	if fam != nil {
+		if sr, an, ok, err := fam.BaseAnalyses(); ok || err != nil {
+			return sr, an, err
+		}
+	}
+	sr, err := ssta.Analyze(d)
+	if err != nil {
+		return nil, nil, err
+	}
+	an, err := leakage.Exact(d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sr, an, nil
 }
 
 // EvaluateStatistical computes the StatResult metrics for an already-

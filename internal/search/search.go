@@ -152,6 +152,7 @@ func Run(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 	proposed := metProposed.With(p.Optimizer)
 	accepted := metAccepted.With(p.Optimizer)
 	rounds := metRounds.With(p.Optimizer)
+	var applied []engine.Move // runBatch's record, reused across rounds
 	for {
 		if err := ctx.Err(); err != nil {
 			return t, err
@@ -172,7 +173,7 @@ func Run(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 		var kept int
 		switch r.Mode {
 		case Batch:
-			kept, err = runBatch(e, r.Moves, t, p, proposed)
+			kept, applied, err = runBatch(e, r.Moves, applied[:0], t, p, proposed)
 		default:
 			kept, err = runFirstAccept(e, r.Moves, t, p, proposed)
 		}
@@ -195,11 +196,12 @@ func Run(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 // runBatch applies every candidate, peels from the newest until Verify
 // passes, and keeps the survivors. A failure before the keep decision
 // reverts every applied move; a failing Accepted hook still counts and
-// keeps every survivor.
-func runBatch(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.Counter) (int, error) {
-	applied := make([]engine.Move, 0, len(moves))
-	abort := func(err error) (int, error) {
-		return 0, errors.Join(err, revertNewestFirst(e, applied))
+// keeps every survivor. It records the applied moves in applied (grown
+// only when its capacity is short) and returns the record for the next
+// round to reuse.
+func runBatch(e Driver, moves, applied []engine.Move, t *Tally, p Policy, proposed *obs.Counter) (int, []engine.Move, error) {
+	abort := func(err error) (int, []engine.Move, error) {
+		return 0, applied, errors.Join(err, revertNewestFirst(e, applied))
 	}
 	for _, mv := range moves {
 		if err := e.Apply(mv); err != nil {
@@ -233,7 +235,7 @@ func runBatch(e Driver, moves []engine.Move, t *Tally, p Policy, proposed *obs.C
 			err = p.Accepted(mv, t)
 		}
 	}
-	return len(applied), err
+	return len(applied), applied, err
 }
 
 // revertNewestFirst undoes moves in reverse order of application,

@@ -389,3 +389,53 @@ func TestFailedStepLeavesDesignMatchingTally(t *testing.T) {
 		})
 	}
 }
+
+// countingDriver applies and reverts nothing; it counts the calls.
+type countingDriver struct{ applies, reverts int }
+
+func (c *countingDriver) Apply(engine.Move) error  { c.applies++; return nil }
+func (c *countingDriver) Revert(engine.Move) error { c.reverts++; return nil }
+
+// TestBatchRoundsAllocateNothing: a Batch round that applies eight
+// moves and peels two allocates nothing once the run's record of
+// applied moves has grown, so a run of 50 such rounds allocates as
+// much as a run of one.
+func TestBatchRoundsAllocateNothing(t *testing.T) {
+	_, d := testEngine(t)
+	round := &Round{Moves: upsizes(t, d, 8), Mode: Batch}
+	drv := &countingDriver{}
+	run := func(rounds int) func() {
+		return func() {
+			n, verifies := 0, 0
+			tally, err := Run(context.Background(), drv, Policy{
+				Optimizer: "test-batch-allocs",
+				Propose: func(context.Context, *Tally) (*Round, error) {
+					if n == rounds {
+						return nil, nil
+					}
+					n++
+					verifies = 0
+					return round, nil
+				},
+				Verify: func() (bool, error) {
+					verifies++
+					return verifies > 2, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tally.Peeled != 2*rounds || tally.Moves != 6*rounds {
+				t.Fatalf("tally = %+v, want %d rounds of 6 kept and 2 peeled", *tally, rounds)
+			}
+		}
+	}
+	one := testing.AllocsPerRun(10, run(1))
+	many := testing.AllocsPerRun(10, run(50))
+	if many != one {
+		t.Errorf("a run of 50 batch rounds allocates %g times, a run of one %g", many, one)
+	}
+	if drv.reverts == 0 {
+		t.Fatal("no round peeled")
+	}
+}
