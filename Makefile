@@ -62,8 +62,8 @@ race:
 scenario:
 	$(GO) test -race -run 'TestFamily|TestScenario|TestCornerView|TestNominalMatrix|TestStatEndState' ./internal/engine ./internal/scenario ./internal/core ./internal/opt
 
-# chaos runs the fault-injection suite — server.FailPoints panics and
-# hangs driving the worker pool's recovery, deadline, and retry/backoff
+# chaos runs the fault-injection suite — server.FailPoints panics,
+# errors and hangs driving the worker pool's recovery and deadline
 # policy — under the race detector. The
 # same tests ride along in test/race; the dedicated target is the
 # fast iteration loop for the job path (see DESIGN.md §8).

@@ -89,7 +89,8 @@ func usage() {
 commands:
   submit   -netlist FILE | -circuit NAME  [-format bench|verilog] [-name N]
            [-optimizer statistical|deterministic|anneal|dual] [-preset 100nm]
-           [-key IDEMPOTENCY-KEY] [-mc-samples N] [-seed N] [-watch]
+           [-key IDEMPOTENCY-KEY] [-mc-samples N] [-seed N] [-timeout-sec S]
+           [-watch [-interval 1s]]
   status   JOB-ID
   watch    JOB-ID [-interval 1s]
   result   JOB-ID
@@ -114,8 +115,7 @@ func cmdSubmit(ctx context.Context, cl *client, args []string) error {
 		key         = fs.String("key", "", "idempotency key: resubmissions with the same key return the existing job")
 		mcSamples   = fs.Int("mc-samples", 0, "final Monte Carlo scoreboard sample count (0 disables)")
 		seed        = fs.Int64("seed", 0, "Monte Carlo seed")
-		maxRetries  = fs.Int("max-retries", 0, "retries after transient failures")
-		timeoutSec  = fs.Float64("timeout-sec", 0, "per-attempt wall-clock cap [s]")
+		timeoutSec  = fs.Float64("timeout-sec", 0, "per-job wall-clock cap [s]")
 		watch       = fs.Bool("watch", false, "poll until the job reaches a terminal state")
 		interval    = fs.Duration("interval", time.Second, "poll interval with -watch")
 	)
@@ -131,7 +131,6 @@ func cmdSubmit(ctx context.Context, cl *client, args []string) error {
 		IdempotencyKey: *key,
 		MCSamples:      *mcSamples,
 		Seed:           *seed,
-		MaxRetries:     *maxRetries,
 		TimeoutSec:     *timeoutSec,
 	}
 	if *netlistPath != "" {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	statleakd -addr :8080 -workers 4 -queue 32 -result-ttl 15m \
-//	          -job-timeout 1h -retry-base 1s
+//	          -job-timeout 1h
 //
 // Endpoints: POST/GET/DELETE /v1/jobs[/{id}[/result]], /metrics,
 // /healthz, /debug/pprof/. See internal/server and the README
@@ -39,8 +39,7 @@ func main() {
 		queueDepth   = flag.Int("queue", 16, "pending-job queue capacity")
 		resultTTL    = flag.Duration("result-ttl", 15*time.Minute, "how long finished jobs stay fetchable")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for running jobs")
-		jobTimeout   = flag.Duration("job-timeout", time.Hour, "per-attempt wall-clock cap and default (0 disables; requests may ask for less via timeout_sec)")
-		retryBase    = flag.Duration("retry-base", time.Second, "first retry backoff for jobs submitted with max_retries (doubles per attempt)")
+		jobTimeout   = flag.Duration("job-timeout", time.Hour, "per-job wall-clock cap and default (0 disables; requests may ask for less via timeout_sec)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	flag.Parse()
@@ -55,12 +54,11 @@ func main() {
 	defer stop()
 
 	mgr := server.NewManager(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queueDepth,
-		ResultTTL:      *resultTTL,
-		MaxJobTimeout:  *jobTimeout,
-		RetryBaseDelay: *retryBase,
-		Log:            log,
+		Workers:       *workers,
+		QueueDepth:    *queueDepth,
+		ResultTTL:     *resultTTL,
+		MaxJobTimeout: *jobTimeout,
+		Log:           log,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

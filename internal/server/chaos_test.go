@@ -1,9 +1,8 @@
 // Chaos suite: fault injection through server.FailPoints, run under
 // -race by `make chaos` (and the ordinary test/race targets). Each
-// test drives one failure mode the daemon must survive: a panicking
-// execute, a hung execute vs the per-job deadline, transient failures
-// (an injected *PanicError) vs the retry/backoff policy, and the API lifecycle races around
-// them (cancel-during-retry-wait, janitor eviction during DELETE,
+// test drives one failure mode the daemon must survive: a panicking or
+// failing execute, a hung execute vs the per-job deadline, and the API
+// lifecycle races around them (janitor eviction during DELETE,
 // concurrent Shutdown).
 package server
 
@@ -16,6 +15,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,12 +58,24 @@ func hangByName(name string) func(context.Context, *Job) (*Outcome, error, bool)
 // daemon down: the panic is recovered into a failed status carrying
 // the panic value and stack, the panic counter increments, and the
 // same manager keeps serving — the next submission runs to done and
-// /healthz stays 200.
+// /healthz stays 200. An error execute returns and a real parse
+// failure end failed with their own text, and no failed job runs
+// twice.
 func TestChaosPanicIsolation(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		calls = make(map[string]int) // execute calls by job name
+	)
 	fp := &FailPoints{
 		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			if job.Req.Name == "boom" {
+			mu.Lock()
+			calls[job.Req.Name]++
+			mu.Unlock()
+			switch job.Req.Name {
+			case "boom":
 				panic("invariant violated: poisoned netlist")
+			case "bad":
+				return nil, errors.New("unparseable blob"), true
 			}
 			return nil, nil, false
 		},
@@ -86,6 +98,23 @@ func TestChaosPanicIsolation(t *testing.T) {
 		t.Errorf("statleak_jobs_panicked_total = %g, want %g", got, before+1)
 	}
 
+	// An error execute returns is the failed job's message verbatim.
+	bad := submitJob(t, ts, Request{Netlist: bench.C17, Name: "bad", Optimizer: "deterministic"})
+	if f := pollUntil(t, ts, bad.ID, 30*time.Second, func(s Status) bool { return s.State.Terminal() }); f.State != StateFailed || f.Error != "unparseable blob" {
+		t.Errorf("erroring job ended %q (err %q), want failed/unparseable blob", f.State, f.Error)
+	}
+
+	// A netlist the parser rejects fails with the parser's message.
+	const garbage = "THIS IS ( NOT A NETLIST"
+	_, parseErr := bench.ParseString("garbage", garbage)
+	if parseErr == nil {
+		t.Fatal("the parser accepted the garbage netlist")
+	}
+	gst := submitJob(t, ts, Request{Netlist: garbage, Name: "garbage"})
+	if f := pollUntil(t, ts, gst.ID, 30*time.Second, func(s Status) bool { return s.State.Terminal() }); f.State != StateFailed || f.Error != parseErr.Error() {
+		t.Errorf("garbage netlist ended %q (err %q), want failed/%q", f.State, f.Error, parseErr)
+	}
+
 	// The worker survived: the daemon still reports healthy and the
 	// next job on the same manager completes.
 	if code, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil); code != http.StatusOK {
@@ -95,6 +124,15 @@ func TestChaosPanicIsolation(t *testing.T) {
 	if f2 := pollUntil(t, ts, st2.ID, time.Minute, func(s Status) bool { return s.State.Terminal() }); f2.State != StateDone {
 		t.Fatalf("job after panic ended %q (err %q), want done", f2.State, f2.Error)
 	}
+
+	// A failed job is not run again: a re-run would fail the same way.
+	mu.Lock()
+	defer mu.Unlock()
+	for _, name := range []string{"boom", "bad", "garbage"} {
+		if calls[name] != 1 {
+			t.Errorf("execute ran %d times for job %q, want 1", calls[name], name)
+		}
+	}
 }
 
 // TestChaosDeadlineKillsHungJob proves timeout_sec frees the worker
@@ -102,7 +140,14 @@ func TestChaosPanicIsolation(t *testing.T) {
 // exceeded" outcome close to its budget, and the worker immediately
 // serves the next job.
 func TestChaosDeadlineKillsHungJob(t *testing.T) {
-	fp := &FailPoints{Execute: hangByName("hang")}
+	var hangs atomic.Int32 // execute calls for the hung job
+	hang := hangByName("hang")
+	fp := &FailPoints{Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
+		if job.Req.Name == "hang" {
+			hangs.Add(1)
+		}
+		return hang(ctx, job)
+	}}
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, FailPoints: fp})
 
 	st := submitJob(t, ts, Request{Netlist: bench.C17, Name: "hang", Optimizer: "deterministic", TimeoutSec: 0.3})
@@ -121,6 +166,10 @@ func TestChaosDeadlineKillsHungJob(t *testing.T) {
 	st2 := submitJob(t, ts, Request{Netlist: bench.C17, Name: "ok", Optimizer: "deterministic"})
 	if f2 := pollUntil(t, ts, st2.ID, time.Minute, func(s Status) bool { return s.State.Terminal() }); f2.State != StateDone {
 		t.Fatalf("job after hang ended %q (err %q), want done", f2.State, f2.Error)
+	}
+	// The expired job is not run again: the deadline would recur.
+	if n := hangs.Load(); n != 1 {
+		t.Errorf("execute ran %d times for the expired job, want 1", n)
 	}
 }
 
@@ -145,169 +194,6 @@ func TestChaosServerTimeoutCap(t *testing.T) {
 	}
 	if elapsed := final.Finished.Sub(*final.Started); elapsed > 5*time.Second {
 		t.Errorf("server cap did not bound the run: %v", elapsed)
-	}
-}
-
-// TestChaosRetryBackoff proves a transiently failing job is re-run
-// exactly MaxRetries times with growing backoff, that the attempt
-// count is visible over the HTTP API, and that the final attempt's
-// success lands the job in done.
-func TestChaosRetryBackoff(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		times []time.Time
-	)
-	fp := &FailPoints{
-		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			if job.Req.Name != "flaky" {
-				return nil, nil, false
-			}
-			mu.Lock()
-			times = append(times, time.Now())
-			n := len(times)
-			mu.Unlock()
-			if n <= 3 {
-				return nil, &PanicError{Value: "spurious worker loss"}, true
-			}
-			return nil, nil, false // 4th attempt: run the real execute
-		},
-	}
-	base := 50 * time.Millisecond
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, RetryBaseDelay: base, FailPoints: fp})
-	before := obs.Default.Values()["statleak_job_retries_total"]
-
-	st := submitJob(t, ts, Request{Netlist: bench.C17, Name: "flaky", Optimizer: "deterministic", MaxRetries: 3})
-	final := pollUntil(t, ts, st.ID, 30*time.Second, func(s Status) bool { return s.State.Terminal() })
-	if final.State != StateDone {
-		t.Fatalf("flaky job ended %q (err %q), want done", final.State, final.Error)
-	}
-	if final.Attempt != 4 {
-		t.Fatalf("Attempt = %d, want 4 (1 run + 3 retries)", final.Attempt)
-	}
-	// The attempt count is part of the raw HTTP status payload.
-	if code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil); code != http.StatusOK || !bytes.Contains(body, []byte(`"attempt": 4`)) {
-		t.Errorf("attempt not visible over HTTP: %d %s", code, body)
-	}
-	if got := obs.Default.Values()["statleak_job_retries_total"]; got != before+3 {
-		t.Errorf("statleak_job_retries_total delta = %g, want 3", got-before)
-	}
-
-	// Backoff grows exponentially: gaps ≈ base·2^(k−1) ± 15% jitter
-	// (scheduling noise only adds). Bound below, and require the third
-	// gap to dominate the first.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(times) != 4 {
-		t.Fatalf("execute ran %d times, want 4", len(times))
-	}
-	gaps := []time.Duration{times[1].Sub(times[0]), times[2].Sub(times[1]), times[3].Sub(times[2])}
-	for k, gap := range gaps {
-		if min := time.Duration(float64(base) * 0.8 * float64(int(1)<<k)); gap < min {
-			t.Errorf("gap %d = %v, want >= %v (backoff must grow)", k+1, gap, min)
-		}
-	}
-	if gaps[2] <= gaps[0] {
-		t.Errorf("backoff not growing: gaps %v", gaps)
-	}
-}
-
-// TestChaosPermanentErrorsNotRetried proves the retry budget is never
-// spent on failures re-running cannot fix: an injected permanent
-// error and a real parse failure both end failed on attempt 1.
-func TestChaosPermanentErrorsNotRetried(t *testing.T) {
-	fp := &FailPoints{
-		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			if job.Req.Name == "bad" {
-				return nil, errors.New("unparseable blob"), true
-			}
-			return nil, nil, false
-		},
-	}
-	m := NewManager(Config{Workers: 1, RetryBaseDelay: 10 * time.Millisecond, FailPoints: fp})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = m.Shutdown(ctx)
-	}()
-	before := obs.Default.Values()["statleak_job_retries_total"]
-
-	injected, _, err := m.submit(Request{Netlist: bench.C17, Name: "bad", Optimizer: "deterministic", MaxRetries: 3})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	parseFail, _, err := m.submit(Request{Netlist: "THIS IS ( NOT A NETLIST", Name: "garbage", MaxRetries: 3})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	for _, job := range []*Job{injected, parseFail} {
-		final := waitJob(t, job, 30*time.Second, func(s Status) bool { return s.State.Terminal() })
-		if final.State != StateFailed {
-			t.Errorf("job %s ended %q (err %q), want failed", job.ID, final.State, final.Error)
-		}
-		if final.Attempt != 1 {
-			t.Errorf("job %s ran %d attempts, want 1 (permanent errors never retry)", job.ID, final.Attempt)
-		}
-	}
-	if got := obs.Default.Values()["statleak_job_retries_total"]; got != before {
-		t.Errorf("statleak_job_retries_total delta = %g, want 0", got-before)
-	}
-}
-
-// TestChaosRetriesExhausted proves a job that keeps failing
-// transiently goes terminal after 1 + MaxRetries attempts with the
-// last error preserved.
-func TestChaosRetriesExhausted(t *testing.T) {
-	fp := &FailPoints{
-		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			return nil, &PanicError{Value: "flaky backend"}, true
-		},
-	}
-	m := NewManager(Config{Workers: 1, RetryBaseDelay: 10 * time.Millisecond, FailPoints: fp})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = m.Shutdown(ctx)
-	}()
-
-	job, _, err := m.submit(Request{Netlist: bench.C17, Name: "flaky", MaxRetries: 2})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	final := waitJob(t, job, 30*time.Second, func(s Status) bool { return s.State.Terminal() })
-	if final.State != StateFailed || !strings.Contains(final.Error, "flaky backend") {
-		t.Fatalf("exhausted job: state %q err %q, want failed with the last error", final.State, final.Error)
-	}
-	if final.Attempt != 3 {
-		t.Fatalf("Attempt = %d, want 3 (1 run + 2 retries)", final.Attempt)
-	}
-}
-
-// TestChaosCancelDuringRetryWait proves DELETE lands while a job is
-// waiting out its backoff: the job flips to cancelled immediately and
-// the pending retry is dropped instead of resurrecting it.
-func TestChaosCancelDuringRetryWait(t *testing.T) {
-	fp := &FailPoints{
-		Execute: func(ctx context.Context, job *Job) (*Outcome, error, bool) {
-			return nil, &PanicError{Value: "flaky backend"}, true
-		},
-	}
-	// A long base delay keeps the job parked in the backoff wait.
-	_, ts := newTestServer(t, Config{Workers: 1, RetryBaseDelay: 5 * time.Second, FailPoints: fp})
-
-	st := submitJob(t, ts, Request{Netlist: bench.C17, Name: "flaky", MaxRetries: 5})
-	pollUntil(t, ts, st.ID, 30*time.Second, func(s Status) bool {
-		return s.State == StatePending && s.Attempt == 1
-	})
-
-	code, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	if code != http.StatusAccepted || !bytes.Contains(body, []byte(`"cancelled"`)) {
-		t.Fatalf("cancel during retry wait: %d %s", code, body)
-	}
-	// The cancellation sticks: no later attempt revives the job.
-	time.Sleep(300 * time.Millisecond)
-	final := pollUntil(t, ts, st.ID, 5*time.Second, func(s Status) bool { return s.State.Terminal() })
-	if final.State != StateCancelled || final.Attempt != 1 {
-		t.Fatalf("after cancel: state %q attempt %d, want cancelled/1", final.State, final.Attempt)
 	}
 }
 
@@ -372,7 +258,7 @@ func TestChaosPendingTimestampsOmitted(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
-	for _, field := range []string{`"started"`, `"finished"`, `"attempt"`, `"0001-01-01`} {
+	for _, field := range []string{`"started"`, `"finished"`, `"0001-01-01`} {
 		if bytes.Contains(body, []byte(field)) {
 			t.Errorf("pending status leaks %s: %s", field, body)
 		}

@@ -100,17 +100,11 @@ type Request struct {
 	Seed      int64  `json:"seed,omitempty"`
 	Sampling  string `json:"sampling,omitempty"`
 
-	// TimeoutSec bounds one attempt's wall-clock runtime [s]; 0 defers
-	// to the server's Config.MaxJobTimeout, which also caps explicit
-	// values. An attempt over its deadline fails with "deadline
-	// exceeded" (distinct from cancellation) and counts as transient
-	// for the retry policy.
+	// TimeoutSec bounds the job's wall-clock runtime [s]; 0 defers to
+	// the server's Config.MaxJobTimeout, which also caps explicit
+	// values. A job over its deadline fails with "deadline exceeded"
+	// (distinct from cancellation).
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// MaxRetries re-runs the job after transient failures — recovered
-	// panics and deadline expiries — with exponential backoff, at most
-	// MaxRetries extra attempts (capped at MaxRetriesCap). Validation
-	// errors are never retried.
-	MaxRetries int `json:"max_retries,omitempty"`
 
 	// IdempotencyKey deduplicates resubmissions: a submission carrying a
 	// key the manager already knows returns the existing job (whatever
@@ -125,10 +119,6 @@ type Request struct {
 // maxIdempotencyKeyLen bounds client-supplied keys so the dedup map
 // cannot be grown with megabyte keys.
 const maxIdempotencyKeyLen = 256
-
-// MaxRetriesCap bounds Request.MaxRetries: beyond a handful of
-// re-runs a failure is not transient, it is the workload.
-const MaxRetriesCap = 10
 
 // Validate checks the request shape without building anything.
 func (r *Request) Validate() error {
@@ -165,9 +155,6 @@ func (r *Request) Validate() error {
 	}
 	if r.TimeoutSec < 0 {
 		return fmt.Errorf("timeout_sec must be >= 0")
-	}
-	if r.MaxRetries < 0 || r.MaxRetries > MaxRetriesCap {
-		return fmt.Errorf("max_retries %d out of range [0, %d]", r.MaxRetries, MaxRetriesCap)
 	}
 	if len(r.IdempotencyKey) > maxIdempotencyKeyLen {
 		return fmt.Errorf("idempotency_key longer than %d bytes", maxIdempotencyKeyLen)
@@ -300,17 +287,15 @@ type Job struct {
 	Req     Request
 	Created time.Time
 
-	mu              sync.Mutex
-	state           State
-	attempt         int // runs started; >1 means the job was retried
-	cancelRequested bool
-	started         time.Time
-	finished        time.Time
-	snapshot        Snapshot
-	outcome         *Outcome
-	errMsg          string
-	cancel          context.CancelFunc
-	expires         time.Time
+	mu       sync.Mutex
+	state    State
+	started  time.Time
+	finished time.Time
+	snapshot Snapshot
+	outcome  *Outcome
+	errMsg   string
+	cancel   context.CancelFunc
+	expires  time.Time
 }
 
 // Status is the JSON view of a job's lifecycle for the API.
@@ -323,11 +308,8 @@ type Status struct {
 	// "started": "0001-01-01T00:00:00Z" instead of omitting the field.
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
-	// Attempt is the 1-based count of runs started; values above 1
-	// mean the retry policy re-ran the job.
-	Attempt  int      `json:"attempt,omitempty"`
-	Progress Snapshot `json:"progress"`
-	Error    string   `json:"error,omitempty"`
+	Progress Snapshot   `json:"progress"`
+	Error    string     `json:"error,omitempty"`
 	// IdempotencyKey echoes the request's dedup key so a resubmitter
 	// can match a status to the key it sent.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
@@ -346,7 +328,6 @@ func (j *Job) statusLocked() Status {
 		ID:             j.ID,
 		State:          j.state,
 		Created:        j.Created,
-		Attempt:        j.attempt,
 		Progress:       j.snapshot,
 		Error:          j.errMsg,
 		IdempotencyKey: j.Req.IdempotencyKey,
@@ -369,9 +350,9 @@ func (j *Job) observe(ev opt.Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
-		// Late snapshot from an abandoned attempt (a hung execute the
+		// Late snapshot from an abandoned run (a hung execute the
 		// worker gave up on) — drop it rather than scribble over a
-		// terminal or retry-pending status.
+		// terminal status.
 		return
 	}
 	j.snapshot.Phase = ev.Phase

@@ -28,8 +28,6 @@ var (
 		"wall-clock latency of finished jobs (running time only)", nil)
 	metJobsPanicked = obs.Default.Counter("statleak_jobs_panicked_total",
 		"execute panics recovered by the worker pool")
-	metJobRetries = obs.Default.Counter("statleak_job_retries_total",
-		"failed attempts re-enqueued with backoff")
 )
 
 // ErrQueueFull is returned by submit when the bounded queue is at
@@ -49,15 +47,10 @@ type Config struct {
 	// 15 min). The janitor evicts expired jobs.
 	ResultTTL time.Duration
 	// MaxJobTimeout caps — and, for requests without timeout_sec,
-	// supplies — the per-attempt wall-clock budget. 0 means no
+	// supplies — the per-job wall-clock budget. 0 means no
 	// server-side deadline (the library default; statleakd sets it
 	// from -job-timeout).
 	MaxJobTimeout time.Duration
-	// RetryBaseDelay is the first retry backoff (default 1s); it
-	// doubles per attempt up to RetryMaxDelay (default 1 min), with
-	// ±15% deterministic jitter. See retryBackoff.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// FailPoints injects deterministic faults at the execute boundary
 	// (nil in production). See the type's doc in fault.go.
 	FailPoints *FailPoints
@@ -74,12 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultTTL <= 0 {
 		c.ResultTTL = 15 * time.Minute
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = time.Second
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = time.Minute
 	}
 	return c
 }
@@ -103,9 +90,7 @@ type Manager struct {
 	closed bool
 
 	queue       chan *Job
-	wg          sync.WaitGroup // workers only
-	retryWG     sync.WaitGroup // retry-backoff waiters (fault.go)
-	retryStop   chan struct{}  // closed when Shutdown begins: aborts backoff waits
+	wg          sync.WaitGroup // workers
 	drainDone   chan struct{}  // closed when the first Shutdown reaches quiescence
 	janitorDone chan struct{}
 }
@@ -123,7 +108,6 @@ func NewManager(cfg Config) *Manager {
 		jobs:        make(map[string]*Job),
 		idem:        make(map[string]string),
 		queue:       make(chan *Job, cfg.QueueDepth),
-		retryStop:   make(chan struct{}),
 		drainDone:   make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -245,13 +229,12 @@ func (m *Manager) List(f ListFilter) (page []Status, total, queued int) {
 	return all[lo:hi], total, len(m.queue)
 }
 
-// Cancel requests cancellation. A pending job — queued or waiting out
-// a retry backoff — flips straight to cancelled (the worker/retry
-// waiter skips it when it surfaces); a running job has its context
-// cancelled and the worker records the terminal state. It returns the
-// job's status snapshot taken under the job lock, so callers (the
-// DELETE handler) never have to re-fetch a job the janitor may have
-// evicted in the meantime.
+// Cancel requests cancellation. A pending job flips straight to
+// cancelled (the worker skips it when it drains it from the queue); a
+// running job has its context cancelled and the worker records the
+// terminal state. It returns the job's status snapshot taken under the
+// job lock, so callers (the DELETE handler) never have to re-fetch a
+// job the janitor may have evicted in the meantime.
 func (m *Manager) Cancel(id string) (Status, bool) {
 	j, ok := m.Get(id)
 	if !ok {
@@ -269,7 +252,6 @@ func (m *Manager) Cancel(id string) (Status, bool) {
 		m.log.Info("job cancelled while pending", "id", id)
 		return st, true
 	case StateRunning:
-		j.cancelRequested = true
 		if j.cancel != nil {
 			j.cancel()
 		}
@@ -294,10 +276,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// runJob drives one attempt of a job through running → terminal (or
-// back to pending when the retry policy re-enqueues it). Execution
-// itself is delegated to executeGuarded (fault.go), which survives
-// panics and hangs; this function only classifies the outcome.
+// runJob drives one job through running → terminal. Execution itself
+// is delegated to executeGuarded (fault.go), which survives panics and
+// hangs; this function only classifies the outcome.
 func (m *Manager) runJob(job *Job) {
 	var (
 		ctx    context.Context
@@ -311,20 +292,16 @@ func (m *Manager) runJob(job *Job) {
 	defer cancel()
 
 	job.mu.Lock()
-	if job.state != StatePending { // cancelled while queued or retry-waiting
+	if job.state != StatePending { // cancelled while queued
 		job.mu.Unlock()
 		return
 	}
 	job.state = StateRunning
-	job.attempt++
-	attempt := job.attempt
-	if job.started.IsZero() {
-		job.started = time.Now()
-	}
+	job.started = time.Now()
 	job.cancel = cancel
 	job.mu.Unlock()
 	metJobsRunning.Add(1)
-	m.log.Info("job started", "id", job.ID, "attempt", attempt)
+	m.log.Info("job started", "id", job.ID)
 
 	start := time.Now()
 	out, err := m.executeGuarded(ctx, job)
@@ -332,13 +309,12 @@ func (m *Manager) runJob(job *Job) {
 	metJobsRunning.Add(-1)
 	metJobSeconds.Observe(elapsed.Seconds())
 
-	// Classify: done / cancelled / failed, and within failed whether
-	// the attempt is worth re-running. "deadline exceeded" is surfaced
-	// verbatim so clients can tell a timeout from a cancellation.
+	// Classify: done / cancelled / failed. "deadline exceeded" is
+	// surfaced verbatim so clients can tell a timeout from a
+	// cancellation.
 	var (
-		final     State
-		msg       string
-		retryable bool
+		final State
+		msg   string
 	)
 	switch {
 	case err == nil:
@@ -346,27 +322,9 @@ func (m *Manager) runJob(job *Job) {
 	case errors.Is(err, context.Canceled):
 		final, msg = StateCancelled, "cancelled"
 	case errors.Is(err, context.DeadlineExceeded):
-		final, msg, retryable = StateFailed, "deadline exceeded", true
+		final, msg = StateFailed, "deadline exceeded"
 	default:
 		final, msg = StateFailed, err.Error()
-		retryable = IsTransient(err)
-	}
-
-	if final == StateFailed && retryable {
-		job.mu.Lock()
-		// cancelRequested closes the race where a user cancel lands in
-		// the same instant as a retryable failure: the cancel wins.
-		if !job.cancelRequested && attempt <= job.Req.MaxRetries {
-			job.state = StatePending
-			job.errMsg = msg
-			job.cancel = nil
-			job.mu.Unlock()
-			metJobRetries.Inc()
-			m.log.Warn("job attempt failed; retrying", "id", job.ID, "attempt", attempt, "err", msg)
-			m.scheduleRetry(job, attempt, msg)
-			return
-		}
-		job.mu.Unlock()
 	}
 
 	now := time.Now()
@@ -377,7 +335,6 @@ func (m *Manager) runJob(job *Job) {
 	job.state = final
 	if final == StateDone {
 		job.outcome = out
-		job.errMsg = ""
 	} else {
 		job.errMsg = msg
 	}
@@ -385,17 +342,22 @@ func (m *Manager) runJob(job *Job) {
 
 	metJobsFinished.With(string(final)).Inc()
 	if err != nil {
-		m.log.Warn("job finished", "id", job.ID, "state", string(final), "attempt", attempt, "err", msg)
+		m.log.Warn("job finished", "id", job.ID, "state", string(final), "err", msg)
 	} else {
 		m.log.Info("job finished", "id", job.ID, "state", string(final), "sec", fmt.Sprintf("%.3f", elapsed.Seconds()))
 	}
 }
 
+// minJanitorTick floors the janitor's tick: a ResultTTL under 4 ns
+// would otherwise ask time.NewTicker for a non-positive interval, which
+// panics, and a sub-millisecond one would spin the janitor.
+const minJanitorTick = time.Millisecond
+
 // janitor evicts expired terminal jobs so the result store is bounded
 // by throughput × TTL.
 func (m *Manager) janitor() {
 	defer close(m.janitorDone)
-	tick := time.NewTicker(m.cfg.ResultTTL / 4)
+	tick := time.NewTicker(max(m.cfg.ResultTTL/4, minJanitorTick))
 	defer tick.Stop()
 	for {
 		select {
@@ -443,15 +405,11 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.closed = true
 	m.mu.Unlock()
-	close(m.retryStop) // abort retry-backoff waits: their jobs can't run anymore
 	close(m.queue)
 
 	done := make(chan struct{})
 	go func() {
-		// All retryWG.Adds happen on worker goroutines, so the counter
-		// is final once the workers have exited.
 		m.wg.Wait()
-		m.retryWG.Wait()
 		close(done)
 	}()
 	var err error

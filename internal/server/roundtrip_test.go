@@ -56,7 +56,6 @@ func TestStatusRoundTripFull(t *testing.T) {
 		Created:        started.Add(-time.Second),
 		Started:        &started,
 		Finished:       &finished,
-		Attempt:        2,
 		IdempotencyKey: "nightly-s432",
 	}
 	b, err := json.Marshal(st)
