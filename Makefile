@@ -56,9 +56,11 @@ race:
 # scenario runs the corner-family suite under the race detector: the
 # Family's cross-corner scoring and mirroring, the scenario matrix itself,
 # the 1×1-matrix golden equivalence guard (family must retrace the
-# single-engine trajectories bit-for-bit), and the end-state check
-# (a run's reported end state equals fresh analyses of its design,
-# scenario matrices included).
+# single-engine trajectories bit-for-bit), the pinned "scenario" rows
+# of the golden scoreboard (TestScenarioGolden: multi-corner, {vh,vn},
+# and body-biased weighted runs of both optimizers), and the end-state
+# check (a run's reported end state equals fresh analyses of its
+# design, scenario matrices included).
 scenario:
 	$(GO) test -race -run 'TestFamily|TestScenario|TestCornerView|TestNominalMatrix|TestStatEndState' ./internal/engine ./internal/scenario ./internal/core ./internal/opt
 
