@@ -177,24 +177,19 @@ func (d *Design) GateDelay(id int) float64 { return d.GateDelayAt(id, d.Load(id)
 // GateDelayAt is GateDelay evaluated at a caller-supplied load, for
 // callers that already hold the gate's (pure) load sum.
 func (d *Design) GateDelayAt(id int, load float64) float64 {
-	return d.delayAs(id, d.Vth[id], d.Size[id], load)
-}
-
-// GateAs evaluates node id as if it had Vth class v and drive size s:
-// its nominal delay [ps] at the given load, and its subthreshold and
-// gate-tunneling leakage [nW]. The assignment is not touched; each
-// value is bitwise what GateDelayAt, GateSubLeak and GateGateLeak
-// return once the gate is set to (v, s).
-func (d *Design) GateAs(id int, v tech.VthClass, s, load float64) (delayPs, subNW, gateNW float64) {
-	return d.delayAs(id, v, s, load), d.subLeakAs(id, v, s), d.Lib.GateLeak(d.Circuit.Gate(id).Type, s)
-}
-
-func (d *Design) delayAs(id int, v tech.VthClass, s, load float64) float64 {
 	g := d.Circuit.Gate(id)
 	if d.BiasVth != nil {
-		return d.Lib.DelayWith(g.Type, v, s, load, 0, d.BiasVth[id])
+		return d.Lib.DelayWith(g.Type, d.Vth[id], d.Size[id], load, 0, d.BiasVth[id])
 	}
-	return d.Lib.Delay(g.Type, v, s, load)
+	return d.Lib.Delay(g.Type, d.Vth[id], d.Size[id], load)
+}
+
+// GateLeakAs evaluates node id's subthreshold and gate-tunneling
+// leakage [nW] as if it had Vth class v and drive size s. The
+// assignment is not touched; each value is bitwise what GateSubLeak
+// and GateGateLeak return once the gate is set to (v, s).
+func (d *Design) GateLeakAs(id int, v tech.VthClass, s float64) (subNW, gateNW float64) {
+	return d.subLeakAs(id, v, s), d.Lib.GateLeak(d.Circuit.Gate(id).Type, s)
 }
 
 // GateDelayWith returns the exact delay [ps] under parameter

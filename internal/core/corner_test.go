@@ -109,10 +109,10 @@ func TestCornerView(t *testing.T) {
 }
 
 // TestGateAsMatchesAssignment checks the read-only what-if evaluation:
-// GateAs at a target (Vth, size) returns bitwise what GateDelay,
-// GateSubLeak and GateGateLeak return once the gate is set to it, on
-// the plain design and on a body-biased corner view, and leaves the
-// assignment untouched.
+// GateLeakAs at a target (Vth, size) returns bitwise what GateSubLeak
+// and GateGateLeak return once the gate is set to it, on the plain
+// design and on a body-biased corner view, and leaves the assignment
+// untouched.
 func TestGateAsMatchesAssignment(t *testing.T) {
 	d := c17(t)
 	bias := make([]float64, d.Circuit.NumNodes())
@@ -131,17 +131,15 @@ func TestGateAsMatchesAssignment(t *testing.T) {
 			id := g.ID
 			for _, v := range []tech.VthClass{tech.LowVth, tech.HighVth} {
 				for _, s := range view.Lib.Sizes {
-					load := view.Load(id)
 					vth0, size0 := view.Vth[id], view.Size[id]
-					delay, sub, gate := view.GateAs(id, v, s, load)
+					sub, gate := view.GateLeakAs(id, v, s)
 					if view.Vth[id] != vth0 || view.Size[id] != size0 {
-						t.Fatalf("GateAs changed gate %d's assignment", id)
+						t.Fatalf("GateLeakAs changed gate %d's assignment", id)
 					}
 					view.Vth[id], view.Size[id] = v, s
-					if delay != view.GateDelay(id) || delay != view.GateDelayAt(id, load) ||
-						sub != view.GateSubLeak(id) || gate != view.GateGateLeak(id) {
-						t.Fatalf("gate %d at (%v, %g): GateAs (%v, %v, %v) differs from the assigned gate",
-							id, v, s, delay, sub, gate)
+					if sub != view.GateSubLeak(id) || gate != view.GateGateLeak(id) {
+						t.Fatalf("gate %d at (%v, %g): GateLeakAs (%v, %v) differs from the assigned gate",
+							id, v, s, sub, gate)
 					}
 					view.Vth[id], view.Size[id] = vth0, size0
 				}

@@ -360,10 +360,8 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serLocal := serLocals[0]
-		if math.Abs(batchLocal[i].DLeakQNW-serLocal.DLeakQNW) > 1e-9 ||
-			batchLocal[i].DMarginPs != -batchLocal[i].DOwnPs {
-			t.Fatalf("move %d: batch local %+v vs single local %+v", i, batchLocal[i], serLocal)
+		if math.Abs(batchLocal[i]-serLocals[0]) > 1e-9 {
+			t.Fatalf("move %d: batch local %v vs single local %v", i, batchLocal[i], serLocals[0])
 		}
 	}
 }
@@ -418,9 +416,9 @@ func TestRefreshInPlaceMatchesFreshEngine(t *testing.T) {
 	}{{"s432", 1, 16}, {"s432", 1, 23}, {"s880", 4, 16}, {"s880", 4, 23}} {
 		for _, sigma := range []float64{0, 3} {
 			cfg := Config{TmaxPs: 1000, RefreshEvery: tc.every, CornerSigma: sigma}
-			var m *scenario.Matrix
+			var m *scenario.Spec
 			if tc.corners > 1 {
-				m = fourCornerSpec(t)
+				m = fourCornerSpec()
 			}
 			f := testFamily(t, tc.circuit, cfg, m)
 			if _, err := f.Yield(); err != nil {
@@ -496,7 +494,7 @@ func checkSameAsFresh(t *testing.T, e, fresh *Engine, label string) {
 		if d.Vth[id] == tech.HighVth {
 			to = tech.LowVth
 		}
-		_, sub, gate := d.GateAs(id, to, d.Size[id], d.Load(id))
+		sub, gate := d.GateLeakAs(id, to, d.Size[id])
 		w1, w2 := e.acc.QuantileIf(id, sub, gate, z), fresh.acc.QuantileIf(id, sub, gate, z)
 		if math.Float64bits(w1) != math.Float64bits(w2) {
 			t.Fatalf("%s: gate %d what-if quantile %v, fresh engine %v", label, id, w1, w2)

@@ -1,8 +1,8 @@
 // Family: the corner-indexed evaluation context. One Family owns one
 // Engine per scenario corner, all evaluating the SAME assignment
 // arrays (corner views alias the base design's Vth/Size slices, see
-// core.CornerView) against per-corner libraries, body-bias vectors and
-// process-corner sigmas. A move committed through the Family is
+// core.CornerView) against per-corner libraries and the spec's
+// body-bias vector. A move committed through the Family is
 // applied to the shared assignment exactly once — through the primary
 // engine — and then *mirrored* into every other corner: each secondary
 // engine folds the already-applied move into its incremental caches
@@ -15,10 +15,10 @@
 //     everywhere it ships)
 //   - delay quantile:    max over corners
 //   - statistical slack: elementwise min over corners
-//   - leakage objective: worst corner (max) or weight-normalized
-//     average, per scenario.Matrix.Aggregate
+//   - leakage objective: worst corner (max) or the mean over corners,
+//     per scenario.Spec.Weighted
 //
-// A 1×1 nominal matrix degenerates to the single-engine evaluation
+// The 1×1 nominal spec degenerates to the single-engine evaluation
 // bit-for-bit: the lone corner is the base design itself, every
 // aggregate of one value is that value, and no mirroring happens.
 package engine
@@ -37,32 +37,24 @@ import (
 // Family owns one evaluation engine per scenario corner over a single
 // shared assignment. Like Engine it is not safe for concurrent use.
 type Family struct {
-	base    *core.Design
-	m       *scenario.Matrix
-	engines []*Engine
-	names   []string
-	weights []float64 // normalized over the matrix
-	per     []float64 // per-corner values a leakage query aggregates
+	base     *core.Design
+	weighted bool // leakage objective: mean over corners, not the worst
+	engines  []*Engine
+	names    []string
+	per      []float64 // per-corner values a leakage query aggregates
 }
 
-// NewFamily builds the per-corner engines for the matrix (nil ⇒ the
-// 1×1 nominal matrix). Corner 0 at the nominal operating point
-// evaluates the base design directly, so a nominal matrix adds no
-// indirection to the values the engine computes.
-func NewFamily(d *core.Design, cfg Config, m *scenario.Matrix) (*Family, error) {
-	if m == nil {
-		m = scenario.Nominal()
-	}
-	rs, err := m.Resolve(d.Lib, d.Circuit)
+// NewFamily builds the per-corner engines for the spec (nil ⇒ the 1×1
+// nominal corner). Corner 0 at the nominal operating point evaluates
+// the base design directly, so a nominal spec adds no indirection to
+// the values the engine computes.
+func NewFamily(d *core.Design, cfg Config, s *scenario.Spec) (*Family, error) {
+	rs, err := s.Resolve(d.Lib, d.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	f := &Family{base: d, m: m}
+	f := &Family{base: d, weighted: s.Weighted()}
 	for i, r := range rs {
-		ci := cfg
-		if r.Sigma >= 0 {
-			ci.CornerSigma = r.Sigma
-		}
 		cd := d
 		if !(i == 0 && r.Nominal) {
 			cd, err = d.CornerView(r.Lib, r.BiasVth)
@@ -70,13 +62,12 @@ func NewFamily(d *core.Design, cfg Config, m *scenario.Matrix) (*Family, error) 
 				return nil, err
 			}
 		}
-		e, err := New(cd, ci)
+		e, err := New(cd, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("engine: corner %q: %w", r.Name, err)
 		}
 		f.engines = append(f.engines, e)
 		f.names = append(f.names, r.Name)
-		f.weights = append(f.weights, r.Weight)
 	}
 	f.per = make([]float64, len(f.engines))
 	return f, nil
@@ -145,7 +136,7 @@ func (f *Family) CornerOffsets() (dLnm, dVthV float64) { return f.engines[0].Cor
 // delay [ps] of gate id, bitwise Design.Load and Design.GateDelay of
 // the base design. They come from the primary corner's timing memo
 // when that corner evaluates the base design itself, and are computed
-// from the base design otherwise (under a scenario matrix corner 0 may
+// from the base design otherwise (under a scenario spec corner 0 may
 // be a view with its own library). The primary corner's timing must be
 // live, as StatisticalSlack leaves it.
 func (f *Family) LoadDelay(id int) (loadFF, delayPs float64) {
@@ -171,16 +162,18 @@ func (f *Family) CornerLoadDelay(id int) (loadFF, delayPs float64) {
 	return load, cornerDelayAt(f.base, id, load, e.dLc, e.dVc)
 }
 
-// aggregate collapses per-corner objective values per the matrix's
-// aggregation mode. A single corner passes through untouched.
-func (f *Family) aggregate(per []float64) float64 {
+// Aggregate collapses per-corner objective values, index-aligned with
+// the family's corners: the worst corner (max), or under a weighted
+// spec the mean over corners. A single corner passes through untouched.
+func (f *Family) Aggregate(per []float64) float64 {
 	if len(per) == 1 {
 		return per[0]
 	}
-	if f.m.Aggregate == scenario.Weighted {
+	if f.weighted {
+		w := 1 / float64(len(per))
 		s := 0.0
-		for i, v := range per {
-			s += f.weights[i] * v
+		for _, v := range per {
+			s += w * v
 		}
 		return s
 	}
@@ -192,11 +185,6 @@ func (f *Family) aggregate(per []float64) float64 {
 	}
 	return worst
 }
-
-// Aggregate collapses per-corner objective values (index-aligned with
-// the matrix's corners) per the matrix's aggregation mode — exported for callers
-// assembling their own per-corner metrics.
-func (f *Family) Aggregate(per []float64) float64 { return f.aggregate(per) }
 
 // Yield returns the family timing yield: the minimum SSTA yield over
 // corners (the circuit must close timing at every corner).
@@ -283,7 +271,7 @@ func (f *Family) LeakQuantile(p float64) (float64, error) {
 		}
 		f.per[i] = q
 	}
-	return f.aggregate(f.per), nil
+	return f.Aggregate(f.per), nil
 }
 
 // ExactLeakQuantile returns the corner-aggregated p-quantile from the
@@ -304,7 +292,7 @@ func (f *Family) ExactLeakQuantile(p float64) (float64, error) {
 		}
 		f.per[i] = q
 	}
-	return f.aggregate(f.per), nil
+	return f.Aggregate(f.per), nil
 }
 
 // BaseAnalyses returns the base design's statistical timing view and
@@ -339,7 +327,7 @@ func (f *Family) TotalLeak() float64 {
 	for i, e := range f.engines {
 		f.per[i] = e.d.TotalLeak()
 	}
-	return f.aggregate(f.per)
+	return f.Aggregate(f.per)
 }
 
 // Corner returns the binding deterministic corner STA against tmaxPs:
@@ -360,20 +348,18 @@ func (f *Family) Corner(tmaxPs float64) (*sta.Result, error) {
 	return worst, nil
 }
 
-// ScoreAllLocalCtx scores independent candidates across every corner
-// with the local timing surrogate and returns corner-aggregated
-// scores, written into dst as Engine.ScoreAllLocalCtx does: DLeakQNW
-// aggregated per the matrix, DMarginPs the min over corners,
-// DOwnPs/DLeakNomNW from the primary corner. Corners are scored one
-// after another.
-func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move, dst []Score) ([]Score, error) {
+// ScoreAllLocalCtx scores independent candidates at every corner with
+// the local scorer and returns their corner-aggregated objective-
+// percentile deltas, written into dst as Engine.ScoreAllLocalCtx does.
+// Corners are scored one after another.
+func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move, dst []float64) ([]float64, error) {
 	if len(f.engines) == 1 {
 		return f.engines[0].ScoreAllLocalCtx(ctx, moves, dst)
 	}
 	if len(moves) == 0 {
 		return nil, nil
 	}
-	per := make([][]Score, len(f.engines))
+	per := make([][]float64, len(f.engines))
 	for i, e := range f.engines {
 		var err error
 		if per[i], err = e.ScoreAllLocalCtx(ctx, moves, nil); err != nil {
@@ -381,19 +367,11 @@ func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move, dst []Score
 		}
 	}
 	out := sized(dst, len(moves))
-	tmp := make([]float64, len(f.engines))
 	for j := range moves {
-		s := per[0][j] // DOwnPs and DLeakNomNW stay the primary's
 		for i := range f.engines {
-			tmp[i] = per[i][j].DLeakQNW
+			f.per[i] = per[i][j]
 		}
-		s.DLeakQNW = f.aggregate(tmp)
-		for i := 1; i < len(f.engines); i++ {
-			if m := per[i][j].DMarginPs; m < s.DMarginPs {
-				s.DMarginPs = m
-			}
-		}
-		out[j] = s
+		out[j] = f.Aggregate(f.per)
 	}
 	return out, nil
 }

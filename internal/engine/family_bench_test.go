@@ -48,18 +48,13 @@ func toggleSwap(b *testing.B, d *core.Design, id int) engine.Move {
 	return mv
 }
 
-func fourCornerMatrix(tb testing.TB) *scenario.Matrix {
-	tb.Helper()
-	m, err := (&scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}).Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m
+func fourCornerSpec() *scenario.Spec {
+	return &scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}
 }
 
 // BenchmarkFamilyReplayVsClone measures the cost of committing one
 // move and re-reading the corner-aggregated objective (yield + leakage
-// quantile over a 4-corner matrix) two ways:
+// quantile over a 4-corner spec) two ways:
 //
 //   - replay: one engine.Family holding per-corner incremental caches;
 //     a committed move mirrors into every corner in O(fanout cone).
@@ -72,7 +67,7 @@ func fourCornerMatrix(tb testing.TB) *scenario.Matrix {
 func BenchmarkFamilyReplayVsClone(b *testing.B) {
 	b.Run("replay", func(b *testing.B) {
 		d, tmax, ids := benchFamilySetup(b)
-		f, err := engine.NewFamily(d, engine.Config{TmaxPs: tmax}, fourCornerMatrix(b))
+		f, err := engine.NewFamily(d, engine.Config{TmaxPs: tmax}, fourCornerSpec())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,8 +92,7 @@ func BenchmarkFamilyReplayVsClone(b *testing.B) {
 	})
 	b.Run("clone", func(b *testing.B) {
 		d, tmax, ids := benchFamilySetup(b)
-		m := fourCornerMatrix(b)
-		rs, err := m.Resolve(d.Lib, d.Circuit)
+		rs, err := fourCornerSpec().Resolve(d.Lib, d.Circuit)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +134,7 @@ func BenchmarkFamilyReplayVsClone(b *testing.B) {
 // close to linear in corners with a small constant.
 func BenchmarkFamilyCornerScaling(b *testing.B) {
 	specs := map[int]*scenario.Spec{
-		1: nil, // nominal 1×1 matrix
+		1: nil, // nominal 1×1 spec
 		2: {Temps: []float64{0, 110}},
 		4: {Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}},
 		8: {Temps: []float64{0, 75, 110, 150}, Corners: []string{"vl", "vh"}},
@@ -148,15 +142,13 @@ func BenchmarkFamilyCornerScaling(b *testing.B) {
 	for _, corners := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("corners=%d", corners), func(b *testing.B) {
 			d, tmax, ids := benchFamilySetup(b)
-			m := scenario.Nominal()
-			if spec := specs[corners]; spec != nil {
-				var err error
-				if m, err = spec.Build(); err != nil {
-					b.Fatal(err)
-				}
+			m := specs[corners]
+			rs, err := m.Resolve(d.Lib, d.Circuit)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if got := len(m.Corners); got != corners {
-				b.Fatalf("matrix has %d corners, want %d", got, corners)
+			if got := len(rs); got != corners {
+				b.Fatalf("spec has %d corners, want %d", got, corners)
 			}
 			f, err := engine.NewFamily(d, engine.Config{TmaxPs: tmax}, m)
 			if err != nil {

@@ -14,18 +14,13 @@ import (
 	"repro/internal/sta"
 )
 
-// fourCornerSpec is the canonical 2 temps × 2 voltage corners matrix
+// fourCornerSpec is the canonical 2 temps × 2 voltage corners spec
 // the acceptance criteria exercise.
-func fourCornerSpec(t *testing.T) *scenario.Matrix {
-	t.Helper()
-	m, err := (&scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+func fourCornerSpec() *scenario.Spec {
+	return &scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}
 }
 
-func testFamily(t *testing.T, circuit string, cfg Config, m *scenario.Matrix) *Family {
+func testFamily(t *testing.T, circuit string, cfg Config, m *scenario.Spec) *Family {
 	t.Helper()
 	d, err := fixture.Suite(circuit)
 	if err != nil {
@@ -97,7 +92,7 @@ func TestFamilyNominalEquivalence(t *testing.T) {
 // through a 4-corner family and then checks every corner's incremental
 // caches against fresh from-scratch analyses of that corner's design.
 func TestFamilyMirrorConsistency(t *testing.T) {
-	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
+	f := testFamily(t, "s432", Config{}, fourCornerSpec())
 	if len(f.engines) != 4 {
 		t.Fatalf("family has %d corners, want 4", len(f.engines))
 	}
@@ -166,7 +161,7 @@ func TestFamilyMirrorConsistency(t *testing.T) {
 // per-corner values: yield is the min, delay quantile the max, the
 // leakage objective the worst corner or the weight-normalized average.
 func TestFamilyAggregation(t *testing.T) {
-	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
+	f := testFamily(t, "s432", Config{}, fourCornerSpec())
 
 	perY := make([]float64, 0, 4)
 	perQ := make([]float64, 0, 4)
@@ -205,9 +200,9 @@ func TestFamilyAggregation(t *testing.T) {
 		t.Errorf("worst-corner leak q %v (err %v), want %v", l, err, maxL)
 	}
 
-	// Weighted aggregation over equal weights is the plain average.
-	m := fourCornerSpec(t)
-	m.Aggregate = scenario.Weighted
+	// Weighted aggregation is the mean over corners.
+	m := fourCornerSpec()
+	m.Aggregate = "weighted"
 	fw, err := NewFamily(f.Design(), Config{TmaxPs: 1000}, m)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +241,7 @@ func TestFamilyAggregation(t *testing.T) {
 // after moves have updated the accumulators it built. One corner and
 // four.
 func TestFamilyExactLeakQuantileBuildsAccumulator(t *testing.T) {
-	for _, matrix := range []*scenario.Matrix{nil, fourCornerSpec(t)} {
+	for _, matrix := range []*scenario.Spec{nil, fourCornerSpec()} {
 		f := testFamily(t, "s432", Config{}, matrix)
 		for _, e := range f.engines {
 			if e.acc != nil {
@@ -270,7 +265,7 @@ func TestFamilyExactLeakQuantileBuildsAccumulator(t *testing.T) {
 				}
 				per[i] = an.Quantile(0.99)
 			}
-			if want := f.aggregate(per); math.Float64bits(got) != math.Float64bits(want) {
+			if want := f.Aggregate(per); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s, %d corners: ExactLeakQuantile %v, want leakage.Exact's %v",
 					label, len(f.engines), got, want)
 			}
@@ -294,17 +289,14 @@ func TestFamilyExactLeakQuantileBuildsAccumulator(t *testing.T) {
 // behind the family's back, as an optimizer restores its incumbent,
 // and refreshes: BaseAnalyses must then read bitwise ssta.Analyze and
 // leakage.Exact of the base design from the primary corner's caches,
-// on one corner and under a matrix whose first corner is nominal. When
+// on one corner and under a spec whose first corner is nominal. When
 // the first corner is a view, it reads nothing.
 func TestFamilyBaseAnalysesAfterRestore(t *testing.T) {
-	nominalFirst, err := (&scenario.Spec{Corners: []string{"vn", "vh"}}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nominalFirst := &scenario.Spec{Corners: []string{"vn", "vh"}}
 	for _, tc := range []struct {
-		matrix *scenario.Matrix
+		matrix *scenario.Spec
 		ok     bool
-	}{{nil, true}, {nominalFirst, true}, {fourCornerSpec(t), false}} {
+	}{{nil, true}, {nominalFirst, true}, {fourCornerSpec(), false}} {
 		f := testFamily(t, "s432", Config{}, tc.matrix)
 		d := f.Design()
 		ids := gateIDs(d)
@@ -368,7 +360,7 @@ func TestFamilyBaseAnalysesAfterRestore(t *testing.T) {
 // peels the newest and reverts the rest: every corner must land exactly
 // on its pre-run metrics.
 func TestFamilyRevertRestoresCorners(t *testing.T) {
-	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
+	f := testFamily(t, "s432", Config{}, fourCornerSpec())
 	d := f.Design()
 	ids := gateIDs(d)
 
@@ -425,51 +417,57 @@ func vthBytes(d *core.Design) []uint8 {
 }
 
 // TestFamilyScoreAllAggregation checks the cross-corner candidate
-// scoring against per-corner ScoreAll results aggregated by hand.
+// scoring against per-corner local scores aggregated by hand: the
+// worst corner, and under a weighted spec the mean over corners.
 func TestFamilyScoreAllAggregation(t *testing.T) {
-	f := testFamily(t, "s432", Config{}, fourCornerSpec(t))
-	d := f.Design()
+	weighted := fourCornerSpec()
+	weighted.Aggregate = "weighted"
+	for _, spec := range []*scenario.Spec{fourCornerSpec(), weighted} {
+		f := testFamily(t, "s432", Config{}, spec)
+		d := f.Design()
 
-	var moves []Move
-	rng := rand.New(rand.NewSource(5))
-	ids := gateIDs(d)
-	seen := map[int]bool{}
-	for len(moves) < 8 {
-		m, ok := randomMove(d, ids, rng)
-		if !ok || seen[m.Gate()] {
-			continue
+		var moves []Move
+		rng := rand.New(rand.NewSource(5))
+		ids := gateIDs(d)
+		seen := map[int]bool{}
+		for len(moves) < 8 {
+			m, ok := randomMove(d, ids, rng)
+			if !ok || seen[m.Gate()] {
+				continue
+			}
+			seen[m.Gate()] = true
+			moves = append(moves, m)
 		}
-		seen[m.Gate()] = true
-		moves = append(moves, m)
-	}
 
-	got, err := f.ScoreAllLocalCtx(context.Background(), moves, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(moves) {
-		t.Fatalf("scored %d of %d moves", len(got), len(moves))
-	}
-
-	per := make([][]Score, len(f.engines))
-	for i, e := range f.engines {
-		per[i], err = e.ScoreAllLocalCtx(context.Background(), moves, nil)
+		got, err := f.ScoreAllLocalCtx(context.Background(), moves, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for j := range moves {
-		worstLeak := per[0][j].DLeakQNW
-		minMargin := per[0][j].DMarginPs
-		for i := 1; i < len(per); i++ {
-			worstLeak = math.Max(worstLeak, per[i][j].DLeakQNW)
-			minMargin = math.Min(minMargin, per[i][j].DMarginPs)
+		if len(got) != len(moves) {
+			t.Fatalf("scored %d of %d moves", len(got), len(moves))
 		}
-		if got[j].DLeakQNW != worstLeak {
-			t.Errorf("move %d: aggregated DLeakQNW %v, want worst corner %v", j, got[j].DLeakQNW, worstLeak)
+
+		per := make([][]float64, len(f.engines))
+		for i, e := range f.engines {
+			per[i], err = e.ScoreAllLocalCtx(context.Background(), moves, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got[j].DMarginPs != minMargin {
-			t.Errorf("move %d: aggregated DMarginPs %v, want min corner %v", j, got[j].DMarginPs, minMargin)
+		w := 1 / float64(len(per))
+		for j := range moves {
+			want, mean := per[0][j], 0.0
+			for i := range per {
+				want = math.Max(want, per[i][j])
+				mean += w * per[i][j]
+			}
+			if spec.Weighted() {
+				want = mean
+			}
+			if math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Errorf("%s aggregation, move %d: aggregated delta %v, want %v",
+					spec.Aggregation(), j, got[j], want)
+			}
 		}
 	}
 }
@@ -480,7 +478,7 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 // backs, with their corner memos live, and each corner delay must
 // still equal a fresh corner STA of the restored design bit for bit.
 func TestFamilyCornerScoreboard(t *testing.T) {
-	f := testFamily(t, "s432", Config{CornerSigma: 3}, fourCornerSpec(t))
+	f := testFamily(t, "s432", Config{CornerSigma: 3}, fourCornerSpec())
 	if _, err := f.Corner(f.engines[0].cfg.TmaxPs); err != nil {
 		t.Fatal(err)
 	}

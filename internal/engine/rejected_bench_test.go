@@ -247,7 +247,7 @@ func TestFamilyExactLeakQuantileAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, matrix := range []*scenario.Matrix{nil, fourCornerMatrix(t)} {
+	for _, matrix := range []*scenario.Spec{nil, fourCornerSpec()} {
 		f, err := engine.NewFamily(d, engine.Config{TmaxPs: 1000}, matrix)
 		if err != nil {
 			t.Fatal(err)
@@ -278,11 +278,8 @@ func TestFamilyEndStateReadAllocatesOnlyTheAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := (&scenario.Spec{Corners: []string{"vn", "vh"}}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, matrix := range []*scenario.Matrix{nil, pair} {
+	pair := &scenario.Spec{Corners: []string{"vn", "vh"}}
+	for _, matrix := range []*scenario.Spec{nil, pair} {
 		f, err := engine.NewFamily(d, engine.Config{TmaxPs: 1000}, matrix)
 		if err != nil {
 			t.Fatal(err)

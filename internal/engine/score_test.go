@@ -20,25 +20,18 @@ func scoreBitsEqual(a, b Score) bool {
 
 // freshCloneLocal is the per-move reference for local scoring: clone
 // the engine's design and accumulator, apply the move, update, and read
-// the quantile and the gate's own delay and leakage.
-func freshCloneLocal(t *testing.T, e *Engine, m Move) Score {
+// the change of the quantile.
+func freshCloneLocal(t *testing.T, e *Engine, m Move) float64 {
 	t.Helper()
 	dc := e.d.Clone()
 	acc := e.acc.CloneFor(dc)
 	p := e.cfg.LeakPercentile
-	id := m.Gate()
-	q0, own0, nom0 := acc.Quantile(p), dc.GateDelay(id), dc.GateLeak(id)
+	q0 := acc.Quantile(p)
 	if err := m.Apply(dc); err != nil {
 		t.Fatal(err)
 	}
-	acc.Update(id)
-	s := Score{
-		DLeakQNW:   acc.Quantile(p) - q0,
-		DOwnPs:     dc.GateDelay(id) - own0,
-		DLeakNomNW: dc.GateLeak(id) - nom0,
-	}
-	s.DMarginPs = -s.DOwnPs
-	return s
+	acc.Update(m.Gate())
+	return acc.Quantile(p) - q0
 }
 
 // freshCloneExact is the reference for exact batch scoring: one clone
@@ -113,7 +106,7 @@ func bitsEqual(a, b []uint64) bool {
 // It interleaves exact and local batch rounds with committed moves,
 // peels and reverts, forced cache refreshes, and stale moves that must
 // make the call error, and asserts after every round that (a) every
-// ScoreAllLocalCtx score equals, bit for bit, applying the
+// ScoreAllLocalCtx delta equals, bit for bit, applying the
 // move on a fresh clone of the engine, (b) every ScoreAll score equals
 // serial scoring on one fresh clone, and (c) the engine's assignment,
 // leakage and timing state are bitwise unchanged by the call.
@@ -161,29 +154,33 @@ func TestScoreMatchesFreshClones(t *testing.T) {
 		moves := batch(8 + rng.Intn(32))
 		exact := rng.Intn(2) == 0
 
-		var want []Score
-		if exact {
-			want = freshCloneExact(t, e, moves)
-		} else {
-			for _, m := range moves {
-				want = append(want, freshCloneLocal(t, e, m))
-			}
-		}
 		before := stateBits(t, e)
-		var got []Score
-		var err error
 		if exact {
-			got, err = e.ScoreAll(moves)
+			want := freshCloneExact(t, e, moves)
+			got, err := e.ScoreAll(moves)
+			if err != nil {
+				t.Fatalf("round %d: ScoreAll: %v", round, err)
+			}
+			for i := range moves {
+				if !scoreBitsEqual(got[i], want[i]) {
+					t.Fatalf("round %d move %d: scored %+v, fresh-clone reference %+v",
+						round, i, got[i], want[i])
+				}
+			}
 		} else {
-			got, err = e.ScoreAllLocalCtx(context.Background(), moves, nil)
-		}
-		if err != nil {
-			t.Fatalf("round %d: ScoreAll(exact=%v): %v", round, exact, err)
-		}
-		for i := range moves {
-			if !scoreBitsEqual(got[i], want[i]) {
-				t.Fatalf("round %d move %d (exact=%v): scored %+v, fresh-clone reference %+v",
-					round, i, exact, got[i], want[i])
+			want := make([]float64, len(moves))
+			for i, m := range moves {
+				want[i] = freshCloneLocal(t, e, m)
+			}
+			got, err := e.ScoreAllLocalCtx(context.Background(), moves, nil)
+			if err != nil {
+				t.Fatalf("round %d: ScoreAllLocalCtx: %v", round, err)
+			}
+			for i := range moves {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("round %d move %d: local delta %v, fresh-clone reference %v",
+						round, i, got[i], want[i])
+				}
 			}
 		}
 		if !bitsEqual(before, stateBits(t, e)) {

@@ -150,9 +150,9 @@ func TestRandomSequencesKeepCachesExact(t *testing.T) {
 	}{{"s880", 1}, {"s880", 4}, {"q344", 1}} {
 		for _, sigma := range []float64{3, 0} {
 			cfg := Config{TmaxPs: 1000, RefreshEvery: 23, CornerSigma: sigma}
-			var m *scenario.Matrix
+			var m *scenario.Spec
 			if tc.corners > 1 {
-				m = fourCornerSpec(t)
+				m = fourCornerSpec()
 			}
 			f := testFamily(t, tc.circuit, cfg, m)
 			runRandomSequence(t, f, rand.New(rand.NewSource(int64(41+tc.corners))))

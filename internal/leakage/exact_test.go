@@ -125,7 +125,7 @@ func TestQuantileIfMatchesUpdate(t *testing.T) {
 		id := ids[rng.Intn(len(ids))]
 		v := tech.VthClass(rng.Intn(int(tech.NumVthClasses)))
 		s := d.Lib.Sizes[rng.Intn(len(d.Lib.Sizes))]
-		_, sub, gate := d.GateAs(id, v, s, d.Load(id))
+		sub, gate := d.GateLeakAs(id, v, s)
 		got := acc.QuantileIf(id, sub, gate, z)
 
 		dc := d.Clone()

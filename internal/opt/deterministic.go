@@ -373,7 +373,7 @@ func newCornerScan(e *engine.Family, o Options) *cornerScan {
 // phase-B move whose own-delay increase (at the corner) fits in the
 // gate's corner slack, or returns nil. Loads and current corner delays
 // come from the family's corner memo. They and the candidates' values
-// are the base design's: under a scenario matrix corner 0 may be a
+// are the base design's: under a scenario spec corner 0 may be a
 // view with its own library.
 func (sc *cornerScan) best(slack []float64) (engine.Move, error) {
 	e, o := sc.e, sc.o

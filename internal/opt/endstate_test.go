@@ -19,7 +19,7 @@ import (
 
 // freshEndState computes the end-state fields of a StatResult for d
 // from fresh analyses: ssta.Analyze and leakage.Exact of the design,
-// and, under a scenario matrix, of every corner design, plus each
+// and, under a scenario spec, of every corner design, plus each
 // corner's deterministic corner STA. The fields the optimizer counts
 // (moves, runtime) stay zero.
 func freshEndState(t *testing.T, d *core.Design, o opt.Options) opt.StatResult {
@@ -59,11 +59,7 @@ func freshEndState(t *testing.T, d *core.Design, o opt.Options) opt.StatResult {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sigma := o.CornerSigma
-			if r.Sigma >= 0 {
-				sigma = r.Sigma
-			}
-			cst, err := sta.AnalyzeCorner(cd, o.TmaxPs, sigma)
+			cst, err := sta.AnalyzeCorner(cd, o.TmaxPs, o.CornerSigma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,24 +78,26 @@ func freshEndState(t *testing.T, d *core.Design, o opt.Options) opt.StatResult {
 				want.YieldAtTmax = cm.YieldAtTmax
 			}
 		}
-		want.LeakPctNW = aggregate(o.Scenario.Aggregate, rs, per)
+		want.LeakPctNW = aggregate(o.Scenario, per)
 	}
 	want.Feasible = want.YieldAtTmax >= o.YieldTarget
 	return want
 }
 
 // aggregate folds per-corner values as the family does: one value
-// passes through, Weighted sums in corner order, Worst takes the max.
-func aggregate(agg scenario.Agg, rs []scenario.Resolved, per []float64) float64 {
+// passes through, a weighted spec takes the mean in corner order, the
+// default the worst corner (max).
+func aggregate(s *scenario.Spec, per []float64) float64 {
 	if len(per) == 1 {
 		return per[0]
 	}
-	if agg == scenario.Weighted {
-		s := 0.0
-		for i, v := range per {
-			s += rs[i].Weight * v
+	if s.Weighted() {
+		w := 1 / float64(len(per))
+		sum := 0.0
+		for _, v := range per {
+			sum += w * v
 		}
-		return s
+		return sum
 	}
 	return slices.Max(per)
 }
@@ -156,18 +154,11 @@ func compareEndState(t *testing.T, got *opt.StatResult, want opt.StatResult) {
 // TestStatEndStateMatchesFreshAnalyses checks that the end state a
 // statistical run reports describes the design it returns exactly as
 // fresh analyses of that design do, bit for bit: on the nominal path,
-// with one move family switched off, under scenario matrices whose
+// with one move family switched off, under scenario specs whose
 // first corner is and is not the base design, for EvaluateStatistical,
 // for an annealing run, and for a capped run that restores an earlier
 // margin's design as its incumbent.
 func TestStatEndStateMatchesFreshAnalyses(t *testing.T) {
-	matrix := func(s scenario.Spec) *scenario.Matrix {
-		m, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
 	ctx := exp.NewContext(io.Discard)
 	for _, tc := range []struct {
 		name    string
@@ -186,14 +177,14 @@ func TestStatEndStateMatchesFreshAnalyses(t *testing.T) {
 			o.TmaxPs *= 1.2
 		}},
 		{name: "four corners, nominal first", circuit: "s432", mutate: func(o *opt.Options) {
-			o.Scenario = matrix(scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vn", "vh"}, Aggregate: "weighted"})
+			o.Scenario = &scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vn", "vh"}, Aggregate: "weighted"}
 		}},
 		{name: "vh,vn", circuit: "s432", mutate: func(o *opt.Options) {
-			o.Scenario = matrix(scenario.Spec{Corners: []string{"vh", "vn"}})
+			o.Scenario = &scenario.Spec{Corners: []string{"vh", "vn"}}
 		}},
 		{name: "evaluate", circuit: "s432", run: opt.EvaluateStatistical},
 		{name: "evaluate four corners", circuit: "s432", run: opt.EvaluateStatistical, mutate: func(o *opt.Options) {
-			o.Scenario = matrix(scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vn", "vh"}})
+			o.Scenario = &scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vn", "vh"}}
 		}},
 		{name: "anneal", circuit: "s432", run: func(d *core.Design, o opt.Options) (*opt.StatResult, error) {
 			cfg := opt.DefaultAnnealConfig()

@@ -90,12 +90,9 @@ func TestISVerify(t *testing.T) {
 		t.Errorf("implausible estimate %+v", *est)
 	}
 
-	m, err := (&scenario.Spec{Corners: []string{"vn", "vh"}}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &scenario.Spec{Corners: []string{"vn", "vh"}}
 	if _, res, _ := run(func(o *opt.Options) { verify(o); o.Scenario = m }); res.ISYield != nil {
-		t.Errorf("ISYield %+v under a scenario matrix, want nil", *res.ISYield)
+		t.Errorf("ISYield %+v under a scenario spec, want nil", *res.ISYield)
 	}
 }
 

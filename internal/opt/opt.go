@@ -26,7 +26,7 @@
 // accounting and metrics handled once for every flow.
 //
 // Every flow evaluates through an engine.Family built from
-// Options.Scenario; nil means the 1×1 nominal matrix, whose lone corner
+// Options.Scenario; nil means the 1×1 nominal spec, whose lone corner
 // is the design itself, so the single-corner path and the scenario
 // path are one code path. Options.Scenario != nil adds the per-corner
 // scoreboard (Result.Corners) and skips ISVerify.
@@ -66,11 +66,11 @@ type Options struct {
 	// MaxMoves caps the total number of applied moves (0 ⇒ 10×gates).
 	MaxMoves int
 	// Scenario, when non-nil, runs the optimizer against the
-	// corner-indexed evaluation family over this matrix instead of the
+	// corner-indexed evaluation family over this spec instead of the
 	// 1×1 nominal one: verification sees the min-over-corners timing
 	// yield and the corner-aggregated leakage objective, and Result
 	// carries a per-corner scoreboard.
-	Scenario *scenario.Matrix
+	Scenario *scenario.Spec
 	// Progress, when non-nil, receives point-in-time snapshots at
 	// optimizer loop boundaries (at most one per applied batch/move).
 	// It is called synchronously from the optimizer goroutine, so it
@@ -83,7 +83,7 @@ type Options struct {
 	// relative standard error reaches the target) and records the
 	// estimate in StatResult.ISYield. It is informational — the SSTA
 	// yield still gates feasibility, so enabling it never changes the
-	// optimization trajectory — and is skipped under a scenario matrix
+	// optimization trajectory — and is skipped under a scenario spec
 	// (the per-corner scoreboard already covers that case).
 	ISVerify *ISVerifyConfig
 }
@@ -148,10 +148,8 @@ func (o Options) Validate() error {
 	case o.MaxMoves < 0:
 		return fmt.Errorf("opt: MaxMoves %d must be >= 0", o.MaxMoves)
 	}
-	if o.Scenario != nil {
-		if err := o.Scenario.Validate(); err != nil {
-			return err
-		}
+	if err := o.Scenario.Validate(); err != nil {
+		return err
 	}
 	if iv := o.ISVerify; iv != nil {
 		switch {

@@ -20,11 +20,7 @@ func TestScenarioStatisticalFourCorner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := (&scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr.Opt.Scenario = m
+	pr.Opt.Scenario = &scenario.Spec{Temps: []float64{0, 110}, Corners: []string{"vl", "vh"}}
 
 	d := pr.Base.Clone()
 	res, err := opt.Statistical(d, pr.Opt)

@@ -375,7 +375,7 @@ type statScan struct {
 	blocked moveSet
 
 	slack  []float64
-	scores []engine.Score
+	scores []float64 // objective-percentile deltas [nW]
 	cands  []statCand
 	moves  []engine.Move // the candidates' moves, as scored
 	round  search.Round  // the moves a round proposes
@@ -400,7 +400,7 @@ func newStatScan(e *engine.Family, o Options) *statScan {
 // against StatisticalSlack's sigma-adjusted budget; the move's (small)
 // effect on the circuit sigma is caught by the incremental-SSTA
 // verification. Loads and delays are the base design's: under a
-// scenario matrix, corner 0 may be a view with its own library. The
+// scenario spec, corner 0 may be a view with its own library. The
 // returned slice, and sc.slack, are valid until the next call.
 func (sc *statScan) candidates(ctx context.Context, safety float64) ([]statCand, error) {
 	e, o := sc.e, sc.o
@@ -451,8 +451,8 @@ func (sc *statScan) candidates(ctx context.Context, safety float64) ([]statCand,
 		return nil, err
 	}
 	out := sc.cands[:0]
-	for i, s := range sc.scores {
-		dq := -s.DLeakQNW // reduction of the objective percentile
+	for i, d := range sc.scores {
+		dq := -d // reduction of the objective percentile
 		if dq <= 0 {
 			continue
 		}
@@ -514,10 +514,10 @@ func statCriticalPath(d *core.Design, sr *ssta.Result, kappa float64, dst []int)
 // corner evaluates d itself (the caller refreshed fam after its last
 // direct change of the assignment, so they are bitwise fresh analyses),
 // and are computed fresh otherwise: with no family (EvaluateStatistical
-// on one corner) and when a scenario matrix's first corner is a view.
-// Under a scenario matrix it also recomputes the per-corner scoreboard
+// on one corner) and when a scenario spec's first corner is a view.
+// Under a scenario spec it also recomputes the per-corner scoreboard
 // with fresh analyses from fam and overrides the headline yield/leakage
-// with the family aggregates (min-over-corners yield, matrix-aggregated
+// with the family aggregates (min-over-corners yield, corner-aggregated
 // leakage percentile).
 func finishStat(ctx context.Context, d *core.Design, fam *engine.Family, o Options, res *StatResult, start time.Time) (*StatResult, error) {
 	sr, an, err := endAnalyses(d, fam)

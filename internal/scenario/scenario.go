@@ -1,10 +1,10 @@
-// Package scenario defines the operating-scenario matrix the
-// evaluation family indexes over: the cartesian product of
-// voltage/temperature corners, an optional deterministic
-// process-corner sigma override, and per-domain body-bias assignments.
-// A Matrix is pure description — it knows nothing about engines — and
-// Resolve lowers it against a concrete technology library and circuit
-// into one (library, bias vector, sigma) triple per corner, which
+// Package scenario describes the operating scenarios the evaluation
+// family indexes over: the cartesian product of voltage/temperature
+// corners, one per-domain body-bias assignment shared by every corner,
+// and how the per-corner leakage objectives aggregate. A Spec is pure
+// description — what the daemon's job requests and the CLI flags carry
+// — and Resolve lowers it against a concrete technology library and
+// circuit into one (library, bias vector) pair per corner, which
 // engine.NewFamily turns into per-corner evaluation contexts over one
 // shared assignment.
 //
@@ -16,15 +16,12 @@
 // Body bias is modeled GenMap-style: gates are clustered into a small
 // number of well-island domains (here: contiguous topological-depth
 // bands, the netlist-level analogue of placement islands), and each
-// domain is assigned one discrete step from a shared bias ladder. The
-// per-domain ladder indices are the discrete assignment variables a
-// bias-aware corner carries.
+// domain is assigned one reverse-bias value.
 package scenario
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -33,160 +30,127 @@ import (
 	"repro/internal/tech"
 )
 
-// Agg selects how per-corner leakage objectives collapse into the
-// single scalar the search accepts or rejects moves on.
-type Agg int
+// voltScales maps the PyOPUS-style voltage corner names onto supply
+// scalings.
+var voltScales = map[string]float64{"vl": 0.9, "vn": 1.0, "vh": 1.1}
 
-const (
-	// WorstCorner scores a move by its worst corner (max leakage
-	// percentile over corners) — the conservative default.
-	WorstCorner Agg = iota
-	// Weighted scores by the weight-normalized average over corners —
-	// the duty-cycle-style objective (e.g. mostly-standby parts weight
-	// the low-voltage corner heavily).
-	Weighted
-)
+// Spec is the wire- and flag-level description of a scenario family:
+// what the daemon's job requests and the CLI flags carry. A nil Spec
+// is the single nominal corner.
+type Spec struct {
+	// Temps lists operating temperatures [°C]; empty means the library
+	// reference point.
+	Temps []float64 `json:"temps,omitempty"`
+	// Corners lists voltage corner names (vl, vn, vh); empty means vn.
+	Corners []string `json:"corners,omitempty"`
+	// BiasDomains is the number of body-bias well islands (0 = no bias
+	// axis).
+	BiasDomains int `json:"bias_domains,omitempty"`
+	// Bias lists the per-domain reverse-bias values [V]; a single value
+	// broadcasts to every domain. Requires BiasDomains > 0.
+	Bias []float64 `json:"bias,omitempty"`
+	// GammaBB is the body-effect coefficient (0 = 0.1).
+	GammaBB float64 `json:"gamma_bb,omitempty"`
+	// Aggregate is "worst" (default) or "weighted".
+	Aggregate string `json:"aggregate,omitempty"`
+}
 
-// String names the aggregation mode.
-func (a Agg) String() string {
-	if a == Weighted {
+// IsZero reports whether the spec requests anything beyond the
+// implicit single nominal corner.
+func (s *Spec) IsZero() bool {
+	return s == nil || (len(s.Temps) == 0 && len(s.Corners) == 0 &&
+		s.BiasDomains == 0 && len(s.Bias) == 0 && s.Aggregate == "")
+}
+
+// Weighted reports whether per-corner leakage objectives collapse to
+// their mean over corners (the duty-cycle-style objective) rather than
+// to the worst corner, the conservative default.
+func (s *Spec) Weighted() bool {
+	return s != nil && strings.EqualFold(strings.TrimSpace(s.Aggregate), "weighted")
+}
+
+// Aggregation names the aggregation mode: "worst" or "weighted".
+func (s *Spec) Aggregation() string {
+	if s.Weighted() {
 		return "weighted"
 	}
 	return "worst"
 }
 
-// ParseAgg parses an aggregation-mode name ("worst", "weighted"; ""
-// defaults to worst).
-func ParseAgg(s string) (Agg, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "worst", "worst-corner":
-		return WorstCorner, nil
-	case "weighted":
-		return Weighted, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown aggregation %q (want worst or weighted)", s)
+// Validate checks the spec; it needs neither the circuit nor the
+// library.
+func (s *Spec) Validate() error {
+	_, err := s.product()
+	return err
 }
 
-// Corner is one named operating point of the matrix.
-type Corner struct {
-	Name string
-
-	// TempC is the corner's operating temperature [°C]; 0 inherits the
-	// base library's temperature.
-	TempC float64
-
-	// VddScale scales the base supply (0 or 1 = nominal).
-	VddScale float64
-
-	// Sigma overrides the engine's deterministic corner sigma for this
-	// corner; negative means inherit the engine config.
-	Sigma float64
-
-	// Bias holds the per-domain ladder indices (into Matrix.BiasLadder)
-	// of this corner's body-bias assignment; nil means unbiased.
-	Bias []int
-
-	// Weight is the corner's weight under Weighted aggregation (0 is
-	// treated as 1).
-	Weight float64
+// corner is one point of a spec's voltage × temperature product.
+type corner struct {
+	name     string
+	tempC    float64 // 0 = the base library's temperature
+	vddScale float64
 }
 
-// Matrix is a scenario family: the corners plus the shared body-bias
-// structure they index into.
-type Matrix struct {
-	Corners []Corner
-
-	// Domains is the number of body-bias well islands the circuit is
-	// partitioned into (0 = 1).
-	Domains int
-
-	// BiasLadder lists the discrete body-bias values [V] the per-domain
-	// assignments select from (positive = reverse bias).
-	BiasLadder []float64
-
-	// GammaBB is the body-effect coefficient dVth/dVbb (0 = 0.1).
-	GammaBB float64
-
-	Aggregate Agg
-}
-
-// Nominal returns the 1×1 matrix: one unbiased corner at the base
-// library's operating point. A family over it reproduces the
-// single-engine evaluation bit-for-bit.
-func Nominal() *Matrix {
-	return &Matrix{Corners: []Corner{{Name: "nom", VddScale: 1, Sigma: -1, Weight: 1}}}
-}
-
-// VoltScales maps the PyOPUS-style voltage corner names onto supply
-// scalings.
-var VoltScales = map[string]float64{"vl": 0.9, "vn": 1.0, "vh": 1.1}
-
-// Validate checks the matrix for internal consistency. It does not
-// need the circuit or library; Resolve re-checks the parts that do.
-func (m *Matrix) Validate() error {
-	if len(m.Corners) == 0 {
-		return fmt.Errorf("scenario: matrix has no corners")
+// product validates the spec and lists its voltage × temperature
+// corners, voltages outermost, named "<volt>_t<temp>" PyOPUS-style.
+// Empty temperatures mean the base reference (segment "tn"), empty
+// voltages "vn".
+func (s *Spec) product() ([]corner, error) {
+	if s == nil {
+		return nil, nil
 	}
-	domains := m.Domains
-	if domains <= 0 {
-		domains = 1
+	switch strings.ToLower(strings.TrimSpace(s.Aggregate)) {
+	case "", "worst", "worst-corner", "weighted":
+	default:
+		return nil, fmt.Errorf("scenario: unknown aggregation %q (want worst or weighted)", s.Aggregate)
 	}
-	if m.GammaBB < 0 || m.GammaBB > 1 {
-		return fmt.Errorf("scenario: GammaBB %g outside [0,1]", m.GammaBB)
+	if len(s.Bias) > 0 && s.BiasDomains <= 0 {
+		return nil, fmt.Errorf("scenario: bias values given but bias_domains is 0")
 	}
-	for i, b := range m.BiasLadder {
+	if len(s.Bias) > 1 && len(s.Bias) != s.BiasDomains {
+		return nil, fmt.Errorf("scenario: %d bias values for %d domains", len(s.Bias), s.BiasDomains)
+	}
+	if s.GammaBB < 0 || s.GammaBB > 1 {
+		return nil, fmt.Errorf("scenario: GammaBB %g outside [0,1]", s.GammaBB)
+	}
+	for i, b := range s.Bias {
 		if math.Abs(b) > 1 {
-			return fmt.Errorf("scenario: bias ladder step %d = %gV outside [-1,1]", i, b)
+			return nil, fmt.Errorf("scenario: bias value %d = %gV outside [-1,1]", i, b)
 		}
 	}
-	seen := make(map[string]bool, len(m.Corners))
-	wsum := 0.0
-	for i, c := range m.Corners {
-		name := c.Name
-		if name == "" {
-			name = fmt.Sprintf("c%d", i)
+	temps := s.Temps
+	if len(temps) == 0 {
+		temps = []float64{0}
+	}
+	volts := s.Corners
+	if len(volts) == 0 {
+		volts = []string{"vn"}
+	}
+	out := make([]corner, 0, len(volts)*len(temps))
+	seen := make(map[string]bool, cap(out))
+	for _, v := range volts {
+		volt := strings.ToLower(strings.TrimSpace(v))
+		scale, ok := voltScales[volt]
+		if !ok {
+			return nil, fmt.Errorf("scenario: unknown voltage corner %q (want one of vl, vn, vh)", v)
 		}
-		if seen[name] {
-			return fmt.Errorf("scenario: duplicate corner name %q", name)
-		}
-		seen[name] = true
-		if !stats.EqZero(c.TempC) && (c.TempC < -40 || c.TempC > 150) {
-			return fmt.Errorf("scenario: corner %q TempC %g outside [-40,150]", name, c.TempC)
-		}
-		if !stats.EqZero(c.VddScale) && (c.VddScale < 0.5 || c.VddScale > 1.5) {
-			return fmt.Errorf("scenario: corner %q VddScale %g outside [0.5,1.5]", name, c.VddScale)
-		}
-		if c.Sigma > 6 {
-			return fmt.Errorf("scenario: corner %q sigma %g > 6", name, c.Sigma)
-		}
-		if c.Bias != nil {
-			if len(c.Bias) != domains {
-				return fmt.Errorf("scenario: corner %q has %d bias entries for %d domains",
-					name, len(c.Bias), domains)
+		for _, t := range temps {
+			seg := "tn"
+			if !stats.EqZero(t) {
+				seg = "t" + strconv.FormatFloat(t, 'g', -1, 64)
 			}
-			for _, bi := range c.Bias {
-				if bi < 0 || bi >= len(m.BiasLadder) {
-					return fmt.Errorf("scenario: corner %q bias index %d outside ladder [0,%d)",
-						name, bi, len(m.BiasLadder))
-				}
+			c := corner{name: volt + "_" + seg, tempC: t, vddScale: scale}
+			if seen[c.name] {
+				return nil, fmt.Errorf("scenario: duplicate corner name %q", c.name)
 			}
+			seen[c.name] = true
+			if !stats.EqZero(t) && (t < -40 || t > 150) {
+				return nil, fmt.Errorf("scenario: corner %q TempC %g outside [-40,150]", c.name, t)
+			}
+			out = append(out, c)
 		}
-		if c.Weight < 0 {
-			return fmt.Errorf("scenario: corner %q weight %g < 0", name, c.Weight)
-		}
-		wsum += c.weight()
 	}
-	if wsum <= 0 {
-		return fmt.Errorf("scenario: corner weights sum to %g", wsum)
-	}
-	return nil
-}
-
-func (c *Corner) weight() float64 {
-	if c.Weight <= 0 {
-		return 1
-	}
-	return c.Weight
+	return out, nil
 }
 
 // Resolved is one corner lowered against a base library and circuit:
@@ -195,70 +159,43 @@ type Resolved struct {
 	Name string
 	Lib  *tech.Library
 	// BiasVth is the per-node threshold shift [V]; nil when unbiased.
+	// Every corner of a spec shares one vector.
 	BiasVth []float64
-	// Sigma is the corner-sigma override; negative means inherit.
-	Sigma  float64
-	Weight float64 // normalized over the matrix
 	// Nominal marks a corner that is exactly the base operating point
 	// (base library, no bias): the family may evaluate the base design
 	// directly instead of a corner view.
 	Nominal bool
 }
 
-// Resolve lowers the matrix against a base library and circuit. The
-// base library is reused for corners at the nominal operating point so
-// a 1×1 nominal matrix evaluates on the identical model constants.
-func (m *Matrix) Resolve(base *tech.Library, c *logic.Circuit) ([]Resolved, error) {
-	if err := m.Validate(); err != nil {
+// Resolve lowers the spec against a base library and circuit, one
+// corner per voltage × temperature pair in product order. A nil spec
+// resolves to the single corner "nom" at the base operating point.
+// Corners at the base operating point reuse the base library, so they
+// evaluate on the identical model constants.
+func (s *Spec) Resolve(base *tech.Library, c *logic.Circuit) ([]Resolved, error) {
+	if s == nil {
+		return []Resolved{{Name: "nom", Lib: base, Nominal: true}}, nil
+	}
+	corners, err := s.product()
+	if err != nil {
 		return nil, err
 	}
-	domains := m.Domains
-	if domains <= 0 {
-		domains = 1
+	bias, err := s.biasVth(c)
+	if err != nil {
+		return nil, err
 	}
-	gamma := m.GammaBB
-	if stats.EqZero(gamma) {
-		gamma = 0.1
-	}
-	var domainOf []int
-	needBias := false
-	for _, cr := range m.Corners {
-		if cr.Bias != nil {
-			needBias = true
-		}
-	}
-	if needBias {
-		var err error
-		domainOf, err = DomainBands(c, domains)
-		if err != nil {
-			return nil, err
-		}
-	}
-	wsum := 0.0
-	for i := range m.Corners {
-		wsum += m.Corners[i].weight()
-	}
-	out := make([]Resolved, 0, len(m.Corners))
-	for i, cr := range m.Corners {
-		r := Resolved{
-			Name:   cr.Name,
-			Sigma:  cr.Sigma,
-			Weight: cr.weight() / wsum,
-		}
-		if r.Name == "" {
-			r.Name = fmt.Sprintf("c%d", i)
-		}
-		tempNominal := stats.EqZero(cr.TempC) || stats.EqExact(cr.TempC, base.P.TempC)
-		vddNominal := stats.EqZero(cr.VddScale) || stats.EqExact(cr.VddScale, 1)
-		if tempNominal && vddNominal {
-			r.Lib = base
-		} else {
+	out := make([]Resolved, 0, len(corners))
+	for _, cr := range corners {
+		r := Resolved{Name: cr.name, Lib: base, BiasVth: bias}
+		tempNominal := stats.EqZero(cr.tempC) || stats.EqExact(cr.tempC, base.P.TempC)
+		vddNominal := stats.EqExact(cr.vddScale, 1)
+		if !tempNominal || !vddNominal {
 			p := *base.P
 			if !tempNominal {
-				p.TempC = cr.TempC
+				p.TempC = cr.tempC
 			}
 			if !vddNominal {
-				p.Vdd = base.P.Vdd * cr.VddScale
+				p.Vdd = base.P.Vdd * cr.vddScale
 			}
 			lib, err := tech.NewLibrary(&p)
 			if err != nil {
@@ -269,24 +206,46 @@ func (m *Matrix) Resolve(base *tech.Library, c *logic.Circuit) ([]Resolved, erro
 			lib.Sizes = append([]float64(nil), base.Sizes...)
 			r.Lib = lib
 		}
-		if cr.Bias != nil {
-			bias := make([]float64, c.NumNodes())
-			allZero := true
-			for id := range bias {
-				b := gamma * m.BiasLadder[cr.Bias[domainOf[id]]]
-				bias[id] = b
-				if !stats.EqZero(b) {
-					allZero = false
-				}
-			}
-			if !allZero {
-				r.BiasVth = bias
-			}
-		}
 		r.Nominal = r.Lib == base && r.BiasVth == nil
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// biasVth returns the per-node threshold shift [V] the spec's body
+// bias applies at every corner: γ × the bias value of the node's
+// domain. It is nil without a bias axis and when every shift is zero.
+func (s *Spec) biasVth(c *logic.Circuit) ([]float64, error) {
+	if s.BiasDomains <= 0 {
+		return nil, nil
+	}
+	domainOf, err := DomainBands(c, s.BiasDomains)
+	if err != nil {
+		return nil, err
+	}
+	gamma := s.GammaBB
+	if stats.EqZero(gamma) {
+		gamma = 0.1
+	}
+	bias := make([]float64, c.NumNodes())
+	allZero := true
+	for id := range bias {
+		v := 0.0 // no values: unbiased
+		switch {
+		case len(s.Bias) == 1:
+			v = s.Bias[0] // one value broadcasts to every domain
+		case len(s.Bias) > 1:
+			v = s.Bias[domainOf[id]]
+		}
+		bias[id] = gamma * v
+		if !stats.EqZero(bias[id]) {
+			allZero = false
+		}
+	}
+	if allZero {
+		return nil, nil
+	}
+	return bias, nil
 }
 
 // DomainBands partitions the circuit's nodes into `domains` contiguous
@@ -317,148 +276,6 @@ func DomainBands(c *logic.Circuit, domains int) ([]int, error) {
 		out[id] = dom
 	}
 	return out, nil
-}
-
-// Product builds the cartesian product of temperature and voltage
-// corners, named "<volt>_t<temp>" PyOPUS-style. temps lists operating
-// temperatures in °C (empty = the base reference, named segment "tn");
-// volts lists names from VoltScales (empty = "vn"). Every product
-// corner inherits the engine sigma, carries weight 1 and the shared
-// bias assignment (nil = unbiased).
-func Product(temps []float64, volts []string, bias []int) ([]Corner, error) {
-	if len(temps) == 0 {
-		temps = []float64{0}
-	}
-	if len(volts) == 0 {
-		volts = []string{"vn"}
-	}
-	var out []Corner
-	for _, v := range volts {
-		scale, ok := VoltScales[strings.ToLower(strings.TrimSpace(v))]
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown voltage corner %q (want one of vl, vn, vh)", v)
-		}
-		for _, t := range temps {
-			seg := "tn"
-			if !stats.EqZero(t) {
-				seg = "t" + strconv.FormatFloat(t, 'g', -1, 64)
-			}
-			out = append(out, Corner{
-				Name:     strings.ToLower(strings.TrimSpace(v)) + "_" + seg,
-				TempC:    t,
-				VddScale: scale,
-				Sigma:    -1,
-				Bias:     append([]int(nil), bias...),
-				Weight:   1,
-			})
-		}
-	}
-	return out, nil
-}
-
-// Spec is the wire- and flag-level description of a matrix: what the
-// daemon's job requests and the CLI flags carry. Build lowers it into
-// a Matrix.
-type Spec struct {
-	// Temps lists operating temperatures [°C]; empty means the library
-	// reference point.
-	Temps []float64 `json:"temps,omitempty"`
-	// Corners lists voltage corner names (vl, vn, vh); empty means vn.
-	Corners []string `json:"corners,omitempty"`
-	// BiasDomains is the number of body-bias well islands (0 = no bias
-	// axis).
-	BiasDomains int `json:"bias_domains,omitempty"`
-	// Bias lists the per-domain reverse-bias values [V]; a single value
-	// broadcasts to every domain. Requires BiasDomains > 0.
-	Bias []float64 `json:"bias,omitempty"`
-	// GammaBB is the body-effect coefficient (0 = 0.1).
-	GammaBB float64 `json:"gamma_bb,omitempty"`
-	// Aggregate is "worst" (default) or "weighted".
-	Aggregate string `json:"aggregate,omitempty"`
-}
-
-// IsZero reports whether the spec requests anything beyond the
-// implicit single nominal corner.
-func (s *Spec) IsZero() bool {
-	return s == nil || (len(s.Temps) == 0 && len(s.Corners) == 0 &&
-		s.BiasDomains == 0 && len(s.Bias) == 0 && s.Aggregate == "")
-}
-
-// Validate checks the spec by building it.
-func (s *Spec) Validate() error {
-	_, err := s.Build()
-	return err
-}
-
-// Build lowers the spec into a Matrix. The bias values become a shared
-// ladder (always containing the unbiased step 0) and every corner
-// carries the same per-domain assignment — the discrete variables a
-// later bias search refines per corner.
-func (s *Spec) Build() (*Matrix, error) {
-	if s == nil {
-		return Nominal(), nil
-	}
-	m := &Matrix{GammaBB: s.GammaBB}
-	agg, err := ParseAgg(s.Aggregate)
-	if err != nil {
-		return nil, err
-	}
-	m.Aggregate = agg
-
-	var bias []int
-	if len(s.Bias) > 0 || s.BiasDomains > 0 {
-		if s.BiasDomains <= 0 {
-			return nil, fmt.Errorf("scenario: bias values given but bias_domains is 0")
-		}
-		m.Domains = s.BiasDomains
-		vals := s.Bias
-		if len(vals) == 0 {
-			vals = []float64{0}
-		}
-		if len(vals) == 1 && s.BiasDomains > 1 {
-			v := vals[0]
-			vals = make([]float64, s.BiasDomains)
-			for i := range vals {
-				vals[i] = v
-			}
-		}
-		if len(vals) != s.BiasDomains {
-			return nil, fmt.Errorf("scenario: %d bias values for %d domains", len(vals), s.BiasDomains)
-		}
-		m.BiasLadder, bias = ladderOf(vals)
-	}
-	corners, err := Product(s.Temps, s.Corners, bias)
-	if err != nil {
-		return nil, err
-	}
-	m.Corners = corners
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ladderOf deduplicates per-domain bias values into an ascending
-// ladder and returns the per-domain index assignment into it.
-func ladderOf(vals []float64) (ladder []float64, assign []int) {
-	uniq := append([]float64(nil), vals...)
-	sort.Float64s(uniq)
-	ladder = uniq[:0:0]
-	for _, v := range uniq {
-		if len(ladder) == 0 || !stats.EqExact(ladder[len(ladder)-1], v) {
-			ladder = append(ladder, v)
-		}
-	}
-	assign = make([]int, len(vals))
-	for i, v := range vals {
-		for j, l := range ladder {
-			if stats.EqExact(l, v) {
-				assign[i] = j
-				break
-			}
-		}
-	}
-	return ladder, assign
 }
 
 // ParseFlags builds a Spec from the CLI flag forms: comma-separated
