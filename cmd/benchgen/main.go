@@ -44,7 +44,7 @@ func main() {
 			fatal(err)
 		}
 	case *name != "":
-		c, err := generateByName(*name)
+		c, err := bench.GenerateNamed(*name)
 		if err != nil {
 			fatal(err)
 		}
@@ -83,18 +83,6 @@ func emitter(format string) (func(io.Writer, *logic.Circuit) error, string, erro
 	return nil, "", fmt.Errorf("benchgen: unknown format %q (bench, verilog)", format)
 }
 
-// generateByName resolves a suite circuit name across both suites.
-func generateByName(name string) (*logic.Circuit, error) {
-	if cfg, err := bench.SuiteConfig(name); err == nil {
-		return bench.Generate(cfg)
-	}
-	scfg, err := bench.SeqSuiteConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	return bench.GenerateSeq(scfg)
-}
-
 func writeSuite(dir string, emit func(io.Writer, *logic.Circuit) error, ext string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -103,7 +91,7 @@ func writeSuite(dir string, emit func(io.Writer, *logic.Circuit) error, ext stri
 	names = append(names, bench.SuiteNames()...)
 	names = append(names, bench.SeqSuiteNames()...)
 	for _, name := range names {
-		c, err := generateByName(name)
+		c, err := bench.GenerateNamed(name)
 		if err != nil {
 			return err
 		}

@@ -5,8 +5,8 @@
 //
 //	experiments [flags] [id ...]
 //
-// With no IDs it runs everything in canonical order. Valid IDs:
-// table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 a1 a2 a3.
+// With no IDs it runs everything in canonical order; experiments -list
+// prints the valid IDs in that order.
 package main
 
 import (
@@ -39,8 +39,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range exp.ExperimentIDs() {
-			fmt.Println(id)
+		for _, e := range exp.Experiments {
+			fmt.Println(e.ID)
 		}
 		return
 	}

@@ -18,14 +18,13 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/leakage"
 	"repro/internal/logic"
+	"repro/internal/ssta"
 	"repro/internal/sta"
 	"repro/internal/tech"
 	"repro/internal/variation"
 	"repro/internal/verilog"
-	"repro/internal/yield"
 )
 
 func main() {
@@ -78,13 +77,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Statistical view through the shared evaluation engine (the same
-	// incremental-SSTA path the optimizers iterate on).
-	eng, err := engine.New(d, engine.Config{TmaxPs: tr0.MaxDelay})
-	if err != nil {
-		fatal(err)
-	}
-	sr, err := eng.Timing()
+	// One SSTA pass serves the statistical delay, the yield curve and
+	// the criticality probabilities.
+	sr, err := ssta.Analyze(d)
 	if err != nil {
 		fatal(err)
 	}
@@ -93,20 +88,11 @@ func main() {
 	fmt.Printf("  statistical        %10.1f ps mean, %.1f ps sigma, %.1f ps q99\n\n",
 		sr.Delay.Mean, sr.Delay.Sigma(), sr.Quantile(0.99))
 
-	// Timing-yield curve around the nominal max delay: one shared SSTA
-	// pass serves every constraint queried.
-	ya, err := yield.Analyze(d)
-	if err != nil {
-		fatal(err)
-	}
-	factors := []float64{1.0, 1.05, 1.1, 1.2, 1.3}
-	tmaxs := make([]float64, len(factors))
-	for i, f := range factors {
-		tmaxs[i] = f * tr0.MaxDelay
-	}
+	// Timing-yield curve around the nominal max delay.
 	fmt.Printf("timing yield (SSTA):\n")
-	for i, y := range ya.Curve(tmaxs) {
-		fmt.Printf("  T = %.2f x nominal (%8.1f ps): %.4f\n", factors[i], tmaxs[i], y)
+	for _, f := range []float64{1.0, 1.05, 1.1, 1.2, 1.3} {
+		tmax := f * tr0.MaxDelay
+		fmt.Printf("  T = %.2f x nominal (%8.1f ps): %.4f\n", f, tmax, sr.Yield(tmax))
 	}
 	fmt.Println()
 
@@ -121,7 +107,7 @@ func main() {
 	fmt.Println()
 
 	// Criticality.
-	crit, err := eng.Criticality()
+	crit, err := sr.Criticality(d)
 	if err != nil {
 		fatal(err)
 	}
@@ -172,14 +158,7 @@ func loadCircuit(suiteName, path string) (*logic.Circuit, error) {
 	case suiteName != "" && path != "":
 		return nil, fmt.Errorf("report: use -circuit or -bench, not both")
 	case suiteName != "":
-		if cfg, err := bench.SuiteConfig(suiteName); err == nil {
-			return bench.Generate(cfg)
-		}
-		scfg, err := bench.SeqSuiteConfig(suiteName)
-		if err != nil {
-			return nil, err
-		}
-		return bench.GenerateSeq(scfg)
+		return bench.GenerateNamed(suiteName)
 	case path != "":
 		f, err := os.Open(path)
 		if err != nil {

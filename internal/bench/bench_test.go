@@ -201,6 +201,32 @@ func TestSuiteConfigUnknown(t *testing.T) {
 	}
 }
 
+// TestGenerateNamed resolves a name in either suite, and an unknown
+// name's one error lists both suites.
+func TestGenerateNamed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dffs int
+	}{{"s432", 0}, {"q344", 15}} {
+		c, err := GenerateNamed(tc.name)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.Name != tc.name || c.NumDffs() != tc.dffs {
+			t.Errorf("%s: generated %q with %d flip-flops, want %d", tc.name, c.Name, c.NumDffs(), tc.dffs)
+		}
+	}
+	_, err := GenerateNamed("s9999")
+	if err == nil {
+		t.Fatal("unknown suite name accepted")
+	}
+	for _, name := range append(SuiteNames(), SeqSuiteNames()...) {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
+		}
+	}
+}
+
 func TestGeneratePlacement(t *testing.T) {
 	cfg, _ := SuiteConfig("s432")
 	c, err := Generate(cfg)

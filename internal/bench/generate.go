@@ -71,6 +71,19 @@ func SuiteConfig(name string) (Config, error) {
 	return Config{}, fmt.Errorf("bench: unknown suite circuit %q (have %v)", name, SuiteNames())
 }
 
+// GenerateNamed builds the named circuit of either synthetic suite:
+// combinational ("s432" … "s7552") or sequential ("q344" … "q5378").
+func GenerateNamed(name string) (*logic.Circuit, error) {
+	if cfg, err := SuiteConfig(name); err == nil {
+		return Generate(cfg)
+	}
+	if cfg, err := SeqSuiteConfig(name); err == nil {
+		return GenerateSeq(cfg)
+	}
+	return nil, fmt.Errorf("bench: unknown suite circuit %q (have %v and %v)",
+		name, SuiteNames(), SeqSuiteNames())
+}
+
 // typeWeights is the gate-type mix of the generator, approximating the
 // NAND/NOR-dominated composition of the ISCAS85 suite.
 var typeWeights = []struct {

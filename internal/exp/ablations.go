@@ -8,6 +8,7 @@ import (
 	"repro/internal/montecarlo"
 	"repro/internal/opt"
 	"repro/internal/report"
+	"repro/internal/ssta"
 	"repro/internal/stats"
 	"repro/internal/variation"
 )
@@ -229,7 +230,7 @@ func (ctx *Context) AblationSampling() (*report.Table, error) {
 // baseStats returns the unoptimized design's SSTA delay sigma and
 // analytic leakage sigma/q99.
 func baseStats(pr *Prepared) (delaySigma, leakSigma, leakQ99 float64, err error) {
-	sr, err := timingOf(pr.Base, pr.TmaxPs)
+	sr, err := ssta.Analyze(pr.Base)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -11,11 +11,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/montecarlo"
 	"repro/internal/opt"
 	"repro/internal/scenario"
-	"repro/internal/ssta"
 	"repro/internal/tech"
 	"repro/internal/variation"
 )
@@ -177,17 +175,6 @@ func RunPair(pr *Prepared) (*OptimizedPair, error) {
 	pair.StatTime = time.Since(t1)
 	pair.StatRes = sres
 	return pair, nil
-}
-
-// timingOf returns a design's statistical timing view through the
-// shared evaluation engine (the same analysis path the optimizers
-// iterate on).
-func timingOf(d *core.Design, tmaxPs float64) (*ssta.Result, error) {
-	e, err := engine.New(d, engine.Config{TmaxPs: tmaxPs})
-	if err != nil {
-		return nil, err
-	}
-	return e.Timing()
 }
 
 // mcOn runs the context's Monte Carlo on a design. tmaxPs is the

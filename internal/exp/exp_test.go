@@ -248,20 +248,6 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
-func TestRegistryCoversAllIDs(t *testing.T) {
-	var buf bytes.Buffer
-	ctx := fastCtx(&buf)
-	reg := ctx.Registry()
-	for _, id := range ExperimentIDs() {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("experiment %q missing from registry", id)
-		}
-	}
-	if len(reg) != len(ExperimentIDs()) {
-		t.Errorf("registry has %d entries, ids list %d", len(reg), len(ExperimentIDs()))
-	}
-}
-
 func TestAblationLognormalSum(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := fastCtx(&buf)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/leakage"
 	"repro/internal/opt"
 	"repro/internal/report"
+	"repro/internal/ssta"
 	"repro/internal/stats"
 	"repro/internal/variation"
 )
@@ -78,11 +79,11 @@ func (ctx *Context) Figure2() (*report.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	srB, err := timingOf(before, pr.TmaxPs)
+	srB, err := ssta.Analyze(before)
 	if err != nil {
 		return nil, err
 	}
-	srA, err := timingOf(after, pr.TmaxPs)
+	srA, err := ssta.Analyze(after)
 	if err != nil {
 		return nil, err
 	}
@@ -187,11 +188,11 @@ func (ctx *Context) Figure5() (*report.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	srD, err := timingOf(pair.Det, pr.TmaxPs)
+	srD, err := ssta.Analyze(pair.Det)
 	if err != nil {
 		return nil, err
 	}
-	srS, err := timingOf(pair.Stat, pr.TmaxPs)
+	srS, err := ssta.Analyze(pair.Stat)
 	if err != nil {
 		return nil, err
 	}

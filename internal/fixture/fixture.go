@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/logic"
 	"repro/internal/tech"
 	"repro/internal/variation"
 )
@@ -53,18 +52,8 @@ func Suite(name string) (*core.Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	var c *logic.Circuit
-	if cfg, err := bench.SuiteConfig(name); err == nil {
-		c, err = bench.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else if scfg, serr := bench.SeqSuiteConfig(name); serr == nil {
-		c, err = bench.GenerateSeq(scfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	c, err := bench.GenerateNamed(name)
+	if err != nil {
 		return nil, err
 	}
 	d, err := core.NewDesign(c, env.Lib, env.Var)

@@ -1,3 +1,6 @@
+// Package yield computes the Monte Carlo timing yield of a design with
+// a standard error, which importance sampling makes affordable at
+// high-yield constraints.
 package yield
 
 import (
@@ -7,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/montecarlo"
+	"repro/internal/ssta"
 	"repro/internal/stats"
 )
 
@@ -140,11 +144,11 @@ func AdaptiveTimingIS(ctx context.Context, d *core.Design, cfg montecarlo.Config
 	cfg.Sampling = montecarlo.ImportanceSampling
 	cfg.TmaxPs = tmax
 	if cfg.Shift == nil {
-		a, err := Analyze(d)
+		sr, err := ssta.Analyze(d)
 		if err != nil {
 			return ISEstimate{}, nil, err
 		}
-		cfg.Shift = a.R.ISShift(tmax)
+		cfg.Shift = sr.ISShift(tmax)
 	}
 	budget = budget.withDefaults()
 
