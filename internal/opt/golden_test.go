@@ -11,7 +11,9 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/exp"
+	"repro/internal/fixture"
 	"repro/internal/opt"
 	"repro/internal/scenario"
 	"repro/internal/tech"
@@ -52,8 +54,13 @@ type goldenEntry struct {
 	// S1 extra: flip-flops ending HVT in the statistical design.
 	HVTFFs int `json:"hvt_ffs,omitempty"`
 
-	// Scenario table: the deterministic optimizer's accepted moves.
+	// Scenario and vth tables: the deterministic optimizer's accepted
+	// moves.
 	DetMoves int `json:"det_moves,omitempty"`
+
+	// Dmin table: MinimumDelay; vth table: the result's
+	// NominalDelayPs.
+	DelayPs string `json:"delay_ps,omitempty"`
 }
 
 type goldenFile struct {
@@ -66,9 +73,10 @@ func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 const goldenPath = "testdata/golden_scoreboard.json"
 
 // computeGolden reruns the T2/T3/S1 scoreboard flows, plus a
-// sizing-only statistical run per combinational circuit, on the small
-// end of both synthetic suites (no Monte Carlo — the analytic
-// scoreboard is what the optimizers steer by and is deterministic).
+// sizing-only statistical run and Vth-only runs of both optimizers per
+// combinational circuit, on the small end of both synthetic suites (no
+// Monte Carlo — the analytic scoreboard is what the optimizers steer
+// by and is deterministic), and MinimumDelay on every suite circuit.
 // mutate, when non-nil, adjusts every prepared Options before the
 // optimizers run — the hook the scenario-equivalence test uses to route
 // the same flows through a 1×1 corner family. The "scenario" table is
@@ -149,6 +157,63 @@ func computeGolden(t testing.TB, mutate func(*opt.Options)) *goldenFile {
 			StatQ99NW:  hexf(szRes.LeakPctNW),
 			StatMoves:  szRes.Moves,
 		})
+
+		// Vth-only runs: the one-margin sweep that skips phase A. At
+		// 1.3·Dmin the minimum-size start misses the constraint in
+		// both flows; at 1.6·Dmin phase B runs.
+		for _, f := range []float64{0, 1.6} {
+			oV := pr.Opt
+			oV.EnableSizing = false
+			label := name
+			if f > 0 {
+				oV.TmaxPs = f * pr.DminPs
+				label += " at 1.6x Dmin"
+			}
+			vs := pr.Base.Clone()
+			vsRes, err := opt.Statistical(vs, oV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vd := pr.Base.Clone()
+			vdRes, err := opt.Deterministic(vd, oV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vdEval, err := opt.EvaluateStatistical(vd, oV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Table["vth"] = append(out.Table["vth"], goldenEntry{
+				Circuit:    label + " statistical",
+				VthSwaps:   vsRes.VthSwaps,
+				StatQ99NW:  hexf(vsRes.LeakPctNW),
+				StatMeanNW: hexf(vsRes.LeakMeanNW),
+				StatYield:  hexf(vsRes.YieldAtTmax),
+				StatMoves:  vsRes.Moves,
+				DelayPs:    hexf(vsRes.NominalDelayPs),
+			}, goldenEntry{
+				Circuit:    label + " deterministic",
+				FullLeakNW: hexf(vd.TotalLeak()),
+				VthSwaps:   vdRes.VthSwaps,
+				DetQ99NW:   hexf(vdEval.LeakPctNW),
+				DetMoves:   vdRes.Moves,
+				DelayPs:    hexf(vdRes.NominalDelayPs),
+			})
+		}
+	}
+
+	// Dmin: MinimumDelay of every suite circuit, the phase-A sizing
+	// loop run to convergence.
+	for _, name := range append(bench.SuiteNames(), bench.SeqSuiteNames()...) {
+		d, err := fixture.Suite(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dmin, err := opt.MinimumDelay(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Table["dmin"] = append(out.Table["dmin"], goldenEntry{Circuit: name, DelayPs: hexf(dmin)})
 	}
 
 	// S1: the sequential pair (flip-flops join the move set).
