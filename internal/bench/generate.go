@@ -125,9 +125,10 @@ func pickType(rng *rand.Rand) logic.GateType {
 // preceding level (with a geometric tail reaching further back, which
 // produces the reconvergent-fanout structure real circuits have), and
 // a fanin-selection bias toward not-yet-used signals so that nearly
-// all logic is live. Gates left without fanout beyond the requested
-// output count are merged by a small NAND reduction tree, so the final
-// circuit validates (every gate reaches a primary output).
+// all logic is live. Inputs left unused are folded into the logic, and
+// gates left without fanout beyond the requested output count are
+// merged by a small NAND reduction tree, so the final circuit
+// validates (every gate reaches a primary output).
 func Generate(cfg Config) (*logic.Circuit, error) {
 	if cfg.Inputs < 4 {
 		return nil, fmt.Errorf("bench: Generate needs >= 4 inputs (max gate arity), got %d", cfg.Inputs)
@@ -141,155 +142,172 @@ func Generate(cfg Config) (*logic.Circuit, error) {
 	if cfg.Gates < cfg.Depth {
 		return nil, fmt.Errorf("bench: Generate needs gates (%d) >= depth (%d)", cfg.Gates, cfg.Depth)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := logic.New(cfg.Name)
+	g, err := newGrower(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.cloud(levelSizes(cfg, cfg.Outputs)); err != nil {
+		return nil, err
+	}
+	// The fold's last gate is a sink the scan below picks up.
+	if _, err := g.fold(); err != nil {
+		return nil, err
+	}
+	var sinks []int
+	for _, gt := range g.c.Gates() {
+		if gt.Type != logic.Input && len(gt.Fanout) == 0 {
+			sinks = append(sinks, gt.ID)
+		}
+	}
+	return g.finish(sinks, cfg.Outputs)
+}
 
-	levels := make([][]int, cfg.Depth+1)
+// grower is a levelized circuit while a generator grows it. Generate
+// and GenerateSeq share its steps — level sizing, the gate cloud, the
+// fold of loose launch signals, and the output reduction and tap — and
+// each keeps its own order of sink collection and RNG draws, which fix
+// the suites' circuits.
+type grower struct {
+	c       *logic.Circuit
+	rng     *rand.Rand
+	levels  [][]int      // gate IDs by logic level; level 0 holds the launch points
+	covered map[int]bool // signals that already drive something
+	gateNo  int
+}
+
+// newGrower starts a circuit with cfg's primary inputs at level 0.
+func newGrower(cfg Config) (*grower, error) {
+	g := &grower{c: logic.New(cfg.Name), rng: rand.New(rand.NewSource(cfg.Seed)),
+		levels: make([][]int, cfg.Depth+1), covered: make(map[int]bool)}
 	for i := 0; i < cfg.Inputs; i++ {
-		id, err := c.AddInput(fmt.Sprintf("I%d", i+1))
+		id, err := g.c.AddInput(fmt.Sprintf("I%d", i+1))
 		if err != nil {
 			return nil, err
 		}
-		levels[0] = append(levels[0], id)
+		g.levels[0] = append(g.levels[0], id)
 	}
+	return g, nil
+}
 
-	// Distribute gates over levels: roughly uniform, with the last
-	// level sized near the output count so the sink set is small.
+// levelSizes distributes cfg.Gates over levels 1…Depth: roughly
+// uniform, with the last level sized near last (the sinks wanted) so
+// the sink set is small.
+func levelSizes(cfg Config, last int) []int {
 	perLevel := make([]int, cfg.Depth+1)
-	last := cfg.Outputs
-	if last > cfg.Gates/2 {
-		last = cfg.Gates / 2
-	}
-	if last < 1 {
-		last = 1
-	}
+	last = max(1, min(last, cfg.Gates/2))
 	remaining := cfg.Gates - last
 	for l := 1; l < cfg.Depth; l++ {
-		share := remaining / (cfg.Depth - l)
-		if share < 1 {
-			share = 1
-		}
+		share := max(1, remaining/(cfg.Depth-l))
 		perLevel[l] = share
 		remaining -= share
 	}
 	perLevel[cfg.Depth] = last + remaining // fold any rounding residue
+	return perLevel
+}
 
-	covered := make(map[int]bool) // signals that already drive something
-	gateNo := 0
-	for l := 1; l <= cfg.Depth; l++ {
+// gate adds the next numbered gate and marks its fanins covered.
+func (g *grower) gate(ty logic.GateType, fanin ...int) (int, error) {
+	g.gateNo++
+	id, err := g.c.AddGate(fmt.Sprintf("N%d", g.gateNo), ty, fanin...)
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range fanin {
+		g.covered[f] = true
+	}
+	return id, nil
+}
+
+// cloud grows perLevel[l] random gates at each level l ≥ 1.
+func (g *grower) cloud(perLevel []int) error {
+	for l := 1; l < len(perLevel); l++ {
 		for i := 0; i < perLevel[l]; i++ {
-			ty := pickType(rng)
-			k := ty.Arity()
-			fanin, err := pickFanins(rng, levels, l, k, covered)
+			ty := pickType(g.rng)
+			fanin, err := pickFanins(g.rng, g.levels, l, ty.Arity(), g.covered)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			gateNo++
-			id, err := c.AddGate(fmt.Sprintf("N%d", gateNo), ty, fanin...)
+			id, err := g.gate(ty, fanin...)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			levels[l] = append(levels[l], id)
-			for _, f := range fanin {
-				covered[f] = true
-			}
+			g.levels[l] = append(g.levels[l], id)
 		}
 	}
+	return nil
+}
 
-	// Any primary input the random fanin selection left unused must
-	// still drive logic (Validate requires every node to reach an
-	// output, as in the real suite). Fold uncovered inputs pairwise —
-	// and finally into a covered signal — with NAND2 gates; the new
-	// gates join the sink set handled below.
+// fold makes every launch signal the random fanin selection left
+// unused drive logic (Validate requires every node to reach an
+// endpoint, as in the real suite): it folds them pairwise — an odd one
+// out with a random level-1 gate — with NAND2 gates until one signal
+// remains. FIFO pairing yields a balanced tree (logarithmic extra
+// depth). It returns the last gate, a sink, or -1 if nothing was loose.
+func (g *grower) fold() (int, error) {
 	var loose []int
-	for _, id := range c.Inputs() {
-		if !covered[id] {
+	for _, id := range g.levels[0] {
+		if !g.covered[id] {
 			loose = append(loose, id)
 		}
 	}
-	// FIFO pairing yields a balanced tree (logarithmic extra depth).
+	last := -1
 	for head := 0; head < len(loose); {
 		a := loose[head]
 		head++
-		b := levels[1][rng.Intn(len(levels[1]))]
+		b := g.levels[1][g.rng.Intn(len(g.levels[1]))]
 		if head < len(loose) {
 			b = loose[head]
 			head++
 		}
-		gateNo++
-		id, err := c.AddGate(fmt.Sprintf("N%d", gateNo), logic.Nand2, a, b)
+		id, err := g.gate(logic.Nand2, a, b)
 		if err != nil {
-			return nil, err
+			return -1, err
 		}
-		covered[a] = true
-		covered[b] = true
 		if head < len(loose) {
 			loose = append(loose, id) // keep merging until one signal remains
 		}
-		// The final merged gate is a sink and is picked up by the sink
-		// scan below.
+		last = id
 	}
+	return last, nil
+}
 
-	// Collect sinks (gates with no fanout). Reduce the surplus beyond
-	// cfg.Outputs with a NAND2 tree, then mark outputs.
-	var sinks []int
-	for _, g := range c.Gates() {
-		if g.Type != logic.Input && len(g.Fanout) == 0 {
-			sinks = append(sinks, g.ID)
-		}
-	}
-	// FIFO pairing again, so surplus sinks fold in logarithmic depth.
+// finish reduces the sinks beyond n outputs with a NAND2 tree (FIFO
+// pairing again, so surplus sinks fold in logarithmic depth), marks
+// the rest as primary outputs, taps internal nets, latest level first,
+// while there are fewer than n (legal in .bench: an output signal may
+// also have internal fanout), and validates and places the circuit.
+func (g *grower) finish(sinks []int, n int) (*logic.Circuit, error) {
 	head := 0
-	for len(sinks)-head > cfg.Outputs {
-		a := sinks[head]
-		b := sinks[head+1]
-		head += 2
-		gateNo++
-		id, err := c.AddGate(fmt.Sprintf("N%d", gateNo), logic.Nand2, a, b)
+	for len(sinks)-head > n {
+		id, err := g.gate(logic.Nand2, sinks[head], sinks[head+1])
 		if err != nil {
 			return nil, err
 		}
+		head += 2
 		sinks = append(sinks, id)
 	}
-	sinks = sinks[head:]
-	for _, s := range sinks {
-		if err := c.MarkOutput(s); err != nil {
+	for _, s := range sinks[head:] {
+		if err := g.c.MarkOutput(s); err != nil {
 			return nil, err
 		}
 	}
-	// If there are fewer sinks than requested outputs, tap internal
-	// nets as additional outputs (legal in .bench: an output signal may
-	// also have internal fanout).
-	if c.NumOutputs() < cfg.Outputs {
-		for _, lvl := range [][]int{levels[cfg.Depth], levels[cfg.Depth-1]} {
-			for _, id := range lvl {
-				if c.NumOutputs() >= cfg.Outputs {
-					break
-				}
-				if err := c.MarkOutput(id); err != nil {
-					return nil, err
-				}
+	for l := len(g.levels) - 1; l >= 1 && g.c.NumOutputs() < n; l-- {
+		for _, id := range g.levels[l] {
+			if g.c.NumOutputs() >= n {
+				break
 			}
-		}
-		for l := cfg.Depth - 2; l >= 1 && c.NumOutputs() < cfg.Outputs; l-- {
-			for _, id := range levels[l] {
-				if c.NumOutputs() >= cfg.Outputs {
-					break
-				}
-				if err := c.MarkOutput(id); err != nil {
-					return nil, err
-				}
+			if err := g.c.MarkOutput(id); err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	if err := c.Validate(); err != nil {
+	if err := g.c.Validate(); err != nil {
 		return nil, fmt.Errorf("bench: generated circuit invalid: %v", err)
 	}
-	if err := c.PlaceGrid(); err != nil {
+	if err := g.c.PlaceGrid(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return g.c, nil
 }
 
 // pickFanins selects k distinct driver signals for a gate at level l.

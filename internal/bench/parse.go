@@ -12,7 +12,6 @@ package bench
 
 import (
 	"bufio"
-	"container/heap"
 	"fmt"
 	"io"
 	"sort"
@@ -20,23 +19,6 @@ import (
 
 	"repro/internal/logic"
 )
-
-// indexHeap is a min-heap of pending-slice indices, so dependency
-// resolution processes gates in file order whenever possible and gate
-// IDs stay stable for already-topologically-ordered netlists.
-type indexHeap []int
-
-func (h indexHeap) Len() int            { return len(h) }
-func (h indexHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h indexHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *indexHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *indexHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 // Parse reads a netlist in ISCAS85 .bench syntax:
 //
@@ -47,19 +29,13 @@ func (h *indexHeap) Pop() interface{} {
 //	G22 = NOT(G10)
 //
 // Gate lines may appear before the lines defining their operands
-// (the format does not require topological order), so parsing is
-// two-pass. Outputs must name defined signals.
+// (the format does not require topological order): the lines are read
+// first and resolved by logic.Build. Outputs must name defined signals.
 func Parse(name string, r io.Reader) (*logic.Circuit, error) {
-	type gateLine struct {
-		name string
-		fn   string
-		args []string
-		line int
-	}
 	var (
-		inputs    []string
-		outputs   []string
-		gateLines []gateLine
+		inputs  []string
+		outputs []string
+		defs    []logic.Def
 	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -101,7 +77,6 @@ func Parse(name string, r io.Reader) (*logic.Circuit, error) {
 			if err := validName(lhs); err != nil {
 				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
 			}
-			fn := strings.TrimSpace(rhs[:open])
 			var args []string
 			for _, a := range strings.Split(rhs[open+1:close_], ",") {
 				a = strings.TrimSpace(a)
@@ -110,125 +85,15 @@ func Parse(name string, r io.Reader) (*logic.Circuit, error) {
 				}
 				args = append(args, a)
 			}
-			gateLines = append(gateLines, gateLine{name: lhs, fn: fn, args: args, line: lineNo})
+			defs = append(defs, logic.Def{Name: lhs, Fn: strings.TrimSpace(rhs[:open]), Args: args, Line: lineNo})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("bench: read: %v", err)
 	}
-
-	c := logic.New(name)
-	for _, in := range inputs {
-		if _, err := c.AddInput(in); err != nil {
-			return nil, fmt.Errorf("bench: %v", err)
-		}
-	}
-	// Flip-flops first, unconnected: their outputs are launch points
-	// that the combinational logic (including their own data cones —
-	// that is the feedback) may reference; the data pins are wired
-	// after all signals exist.
-	type dffConn struct {
-		id      int
-		operand string
-		line    int
-	}
-	var dffConns []dffConn
-	var pending []gateLine
-	for _, gl := range gateLines {
-		if strings.EqualFold(gl.fn, "DFF") {
-			if len(gl.args) != 1 {
-				return nil, fmt.Errorf("bench: line %d: DFF takes 1 operand, got %d", gl.line, len(gl.args))
-			}
-			id, err := c.AddDff(gl.name)
-			if err != nil {
-				return nil, fmt.Errorf("bench: line %d: %v", gl.line, err)
-			}
-			dffConns = append(dffConns, dffConn{id: id, operand: gl.args[0], line: gl.line})
-			continue
-		}
-		pending = append(pending, gl)
-	}
-	// Add gates in dependency order. The format allows forward
-	// references, so resolution is Kahn-style: each pending gate counts
-	// its not-yet-defined operands, and defining a signal wakes exactly
-	// the gates waiting on that name — linear in gates + operands,
-	// where the naive retry-until-fixpoint sweep is quadratic on
-	// reverse-ordered netlists.
-	waiting := make(map[string][]int) // operand name -> indices of pending waiting on it
-	missing := make([]int, len(pending))
-	queue := &indexHeap{}
-	for i, gl := range pending {
-		for _, a := range gl.args {
-			if _, ok := c.GateByName(a); !ok {
-				waiting[a] = append(waiting[a], i)
-				missing[i]++
-			}
-		}
-		if missing[i] == 0 {
-			heap.Push(queue, i)
-		}
-	}
-	added := 0
-	done := make([]bool, len(pending))
-	for queue.Len() > 0 {
-		i := heap.Pop(queue).(int)
-		gl := pending[i]
-		ids := make([]int, 0, len(gl.args))
-		for _, a := range gl.args {
-			g, ok := c.GateByName(a)
-			if !ok {
-				return nil, fmt.Errorf("bench: line %d: operand %q undefined", gl.line, a)
-			}
-			ids = append(ids, g.ID)
-		}
-		ty, err := logic.GateTypeForFunction(gl.fn, len(gl.args))
-		if err != nil {
-			return nil, fmt.Errorf("bench: line %d: %v", gl.line, err)
-		}
-		if _, err := c.AddGate(gl.name, ty, ids...); err != nil {
-			return nil, fmt.Errorf("bench: line %d: %v", gl.line, err)
-		}
-		added++
-		done[i] = true
-		for _, w := range waiting[gl.name] {
-			missing[w]--
-			if missing[w] == 0 {
-				heap.Push(queue, w)
-			}
-		}
-		delete(waiting, gl.name)
-	}
-	if added != len(pending) {
-		for i, gl := range pending {
-			if !done[i] {
-				return nil, fmt.Errorf("bench: %d gates have undefined or cyclic operands (first: %q line %d)",
-					len(pending)-added, gl.name, gl.line)
-			}
-		}
-	}
-	for _, dc := range dffConns {
-		g, ok := c.GateByName(dc.operand)
-		if !ok {
-			return nil, fmt.Errorf("bench: line %d: DFF operand %q undefined", dc.line, dc.operand)
-		}
-		if err := c.ConnectDff(dc.id, g.ID); err != nil {
-			return nil, fmt.Errorf("bench: line %d: %v", dc.line, err)
-		}
-	}
-	for _, o := range outputs {
-		g, ok := c.GateByName(o)
-		if !ok {
-			return nil, fmt.Errorf("bench: OUTPUT(%s) names an undefined signal", o)
-		}
-		if err := c.MarkOutput(g.ID); err != nil {
-			return nil, fmt.Errorf("bench: %v", err)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.PlaceGrid(); err != nil {
-		return nil, err
+	c, err := logic.Build(name, inputs, outputs, defs)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	return c, nil
 }

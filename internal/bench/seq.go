@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/logic"
 )
@@ -59,8 +58,8 @@ func SeqSuiteConfig(name string) (SeqConfig, error) {
 
 // GenerateSeq builds a random sequential circuit: FFs and primary
 // inputs form the launch plane, a levelized combinational cloud is
-// grown exactly as in Generate, each flip-flop's data pin is wired to
-// a late-level signal (creating the state feedback loops), and the
+// grown as in Generate, each flip-flop's data pin is wired to a
+// late-level signal (creating the state feedback loops), and the
 // remaining sinks become primary outputs. Deterministic per config.
 func GenerateSeq(cfg SeqConfig) (*logic.Circuit, error) {
 	if cfg.FFs < 1 {
@@ -73,74 +72,29 @@ func GenerateSeq(cfg SeqConfig) (*logic.Circuit, error) {
 		return nil, fmt.Errorf("bench: GenerateSeq: bad shape (outputs %d, depth %d, gates %d)",
 			cfg.Outputs, cfg.Depth, cfg.Gates)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := logic.New(cfg.Name)
-
-	levels := make([][]int, cfg.Depth+1)
-	for i := 0; i < cfg.Inputs; i++ {
-		id, err := c.AddInput(fmt.Sprintf("I%d", i+1))
-		if err != nil {
-			return nil, err
-		}
-		levels[0] = append(levels[0], id)
+	g, err := newGrower(cfg.Config)
+	if err != nil {
+		return nil, err
 	}
 	ffs := make([]int, cfg.FFs)
 	for i := range ffs {
-		id, err := c.AddDff(fmt.Sprintf("F%d", i+1))
+		id, err := g.c.AddDff(fmt.Sprintf("F%d", i+1))
 		if err != nil {
 			return nil, err
 		}
 		ffs[i] = id
-		levels[0] = append(levels[0], id)
+		g.levels[0] = append(g.levels[0], id)
 	}
-
-	// Combinational cloud, identical construction to Generate.
-	perLevel := make([]int, cfg.Depth+1)
-	last := cfg.Outputs + cfg.FFs
-	if last > cfg.Gates/2 {
-		last = cfg.Gates / 2
-	}
-	if last < 1 {
-		last = 1
-	}
-	remaining := cfg.Gates - last
-	for l := 1; l < cfg.Depth; l++ {
-		share := remaining / (cfg.Depth - l)
-		if share < 1 {
-			share = 1
-		}
-		perLevel[l] = share
-		remaining -= share
-	}
-	perLevel[cfg.Depth] = last + remaining
-
-	covered := make(map[int]bool)
-	gateNo := 0
-	for l := 1; l <= cfg.Depth; l++ {
-		for i := 0; i < perLevel[l]; i++ {
-			ty := pickType(rng)
-			fanin, err := pickFanins(rng, levels, l, ty.Arity(), covered)
-			if err != nil {
-				return nil, err
-			}
-			gateNo++
-			id, err := c.AddGate(fmt.Sprintf("N%d", gateNo), ty, fanin...)
-			if err != nil {
-				return nil, err
-			}
-			levels[l] = append(levels[l], id)
-			for _, f := range fanin {
-				covered[f] = true
-			}
-		}
+	if err := g.cloud(levelSizes(cfg.Config, cfg.Outputs+cfg.FFs)); err != nil {
+		return nil, err
 	}
 
 	// Wire the state feedback: each FF's data pin takes a late-level
 	// signal, preferring sinks so the cloud stays live.
 	var sinks []int
-	for _, g := range c.Gates() {
-		if g.Type != logic.Input && g.Type != logic.Dff && len(g.Fanout) == 0 {
-			sinks = append(sinks, g.ID)
+	for _, gt := range g.c.Gates() {
+		if gt.Type != logic.Input && gt.Type != logic.Dff && len(gt.Fanout) == 0 {
+			sinks = append(sinks, gt.ID)
 		}
 	}
 	si := 0
@@ -150,92 +104,27 @@ func GenerateSeq(cfg SeqConfig) (*logic.Circuit, error) {
 			driver = sinks[si]
 			si++
 		} else {
-			top := levels[cfg.Depth]
+			top := g.levels[cfg.Depth]
 			if len(top) == 0 {
-				top = levels[cfg.Depth-1]
+				top = g.levels[cfg.Depth-1]
 			}
-			driver = top[rng.Intn(len(top))]
+			driver = top[g.rng.Intn(len(top))]
 		}
-		if err := c.ConnectDff(f, driver); err != nil {
+		if err := g.c.ConnectDff(f, driver); err != nil {
 			return nil, err
 		}
-		covered[driver] = true
+		g.covered[driver] = true
 	}
 	sinks = sinks[si:]
 
-	// Fold unused launch signals (PIs and FF outputs) into the cloud
-	// with a balanced NAND tree, as in Generate.
-	var loose []int
-	for _, id := range c.Inputs() {
-		if !covered[id] {
-			loose = append(loose, id)
-		}
-	}
-	for _, id := range ffs {
-		if !covered[id] {
-			loose = append(loose, id)
-		}
-	}
-	for head := 0; head < len(loose); {
-		a := loose[head]
-		head++
-		b := levels[1][rng.Intn(len(levels[1]))]
-		if head < len(loose) {
-			b = loose[head]
-			head++
-		}
-		gateNo++
-		id, err := c.AddGate(fmt.Sprintf("N%d", gateNo), logic.Nand2, a, b)
-		if err != nil {
-			return nil, err
-		}
-		covered[a] = true
-		covered[b] = true
-		if head < len(loose) {
-			loose = append(loose, id)
-		} else {
-			sinks = append(sinks, id)
-		}
-	}
-
-	// Remaining sinks become primary outputs (reduced to the target
-	// count by a balanced NAND tree).
-	head := 0
-	for len(sinks)-head > cfg.Outputs {
-		a := sinks[head]
-		b := sinks[head+1]
-		head += 2
-		gateNo++
-		id, err := c.AddGate(fmt.Sprintf("N%d", gateNo), logic.Nand2, a, b)
-		if err != nil {
-			return nil, err
-		}
-		sinks = append(sinks, id)
-	}
-	sinks = sinks[head:]
-	for _, s := range sinks {
-		if err := c.MarkOutput(s); err != nil {
-			return nil, err
-		}
-	}
-	if c.NumOutputs() < cfg.Outputs {
-		for l := cfg.Depth; l >= 1 && c.NumOutputs() < cfg.Outputs; l-- {
-			for _, id := range levels[l] {
-				if c.NumOutputs() >= cfg.Outputs {
-					break
-				}
-				if err := c.MarkOutput(id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: generated sequential circuit invalid: %v", err)
-	}
-	if err := c.PlaceGrid(); err != nil {
+	// Fold unused launch signals (PIs and FF outputs) into the cloud;
+	// the remaining sinks become primary outputs.
+	last, err := g.fold()
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	if last >= 0 {
+		sinks = append(sinks, last)
+	}
+	return g.finish(sinks, cfg.Outputs)
 }

@@ -41,7 +41,8 @@ type Family struct {
 	weighted bool // leakage objective: mean over corners, not the worst
 	engines  []*Engine
 	names    []string
-	per      []float64 // per-corner values a leakage query aggregates
+	per      []float64   // per-corner values a leakage query aggregates
+	scores   [][]float64 // per-corner local scores, reused across ScoreAllLocalCtx calls
 }
 
 // NewFamily builds the per-corner engines for the spec (nil ⇒ the 1×1
@@ -70,6 +71,7 @@ func NewFamily(d *core.Design, cfg Config, s *scenario.Spec) (*Family, error) {
 		f.names = append(f.names, r.Name)
 	}
 	f.per = make([]float64, len(f.engines))
+	f.scores = make([][]float64, len(f.engines))
 	return f, nil
 }
 
@@ -351,7 +353,8 @@ func (f *Family) Corner(tmaxPs float64) (*sta.Result, error) {
 // ScoreAllLocalCtx scores independent candidates at every corner with
 // the local scorer and returns their corner-aggregated objective-
 // percentile deltas, written into dst as Engine.ScoreAllLocalCtx does.
-// Corners are scored one after another.
+// Corners are scored one after another, each into a buffer the family
+// keeps, so a caller reusing dst allocates nothing once they have grown.
 func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move, dst []float64) ([]float64, error) {
 	if len(f.engines) == 1 {
 		return f.engines[0].ScoreAllLocalCtx(ctx, moves, dst)
@@ -359,17 +362,16 @@ func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move, dst []float
 	if len(moves) == 0 {
 		return nil, nil
 	}
-	per := make([][]float64, len(f.engines))
 	for i, e := range f.engines {
 		var err error
-		if per[i], err = e.ScoreAllLocalCtx(ctx, moves, nil); err != nil {
+		if f.scores[i], err = e.ScoreAllLocalCtx(ctx, moves, f.scores[i]); err != nil {
 			return nil, err
 		}
 	}
 	out := sized(dst, len(moves))
 	for j := range moves {
 		for i := range f.engines {
-			f.per[i] = per[i][j]
+			f.per[i] = f.scores[i][j]
 		}
 		out[j] = f.Aggregate(f.per)
 	}

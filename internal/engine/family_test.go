@@ -12,6 +12,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/ssta"
 	"repro/internal/sta"
+	"repro/internal/tech"
 )
 
 // fourCornerSpec is the canonical 2 temps × 2 voltage corners spec
@@ -469,6 +470,33 @@ func TestFamilyScoreAllAggregation(t *testing.T) {
 					spec.Aggregation(), j, got[j], want)
 			}
 		}
+	}
+}
+
+// TestFamilyScoreAllAllocatesNothing: with a reused dst, a
+// multi-corner scan round allocates nothing once the family's
+// per-corner score buffers have grown — here s880's LVT→HVT swaps under
+// the four-corner spec.
+func TestFamilyScoreAllAllocatesNothing(t *testing.T) {
+	f := testFamily(t, "s880", Config{}, fourCornerSpec())
+	d := f.Design()
+	var moves []Move
+	for _, id := range gateIDs(d) {
+		if mv, err := NewVthSwap(d, id, tech.HighVth); err == nil {
+			moves = append(moves, mv)
+		}
+	}
+	dst, err := f.ScoreAllLocalCtx(context.Background(), moves, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if dst, err = f.ScoreAllLocalCtx(context.Background(), moves, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("scoring %d moves at %d corners allocates %g times, want 0", len(moves), len(f.engines), allocs)
 	}
 }
 

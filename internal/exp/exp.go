@@ -86,8 +86,10 @@ type Prepared struct {
 	Opt    opt.Options
 }
 
-// Prepare builds the design for a suite circuit and derives Dmin/Tmax.
-// The variation model can be overridden by vm (nil ⇒ default).
+// Prepare builds the design for a suite circuit of either synthetic
+// suite — combinational ("s432" …) or sequential ("q344" …) — and
+// derives Dmin/Tmax. The variation model can be overridden by vm
+// (nil ⇒ default).
 func (ctx *Context) Prepare(name string, vm *variation.Model) (*Prepared, error) {
 	p := ctx.TechParams
 	if p == nil {
@@ -103,11 +105,7 @@ func (ctx *Context) Prepare(name string, vm *variation.Model) (*Prepared, error)
 			return nil, err
 		}
 	}
-	cfg, err := bench.SuiteConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	c, err := bench.Generate(cfg)
+	c, err := bench.GenerateNamed(name)
 	if err != nil {
 		return nil, err
 	}

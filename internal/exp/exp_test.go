@@ -310,21 +310,18 @@ func TestTable4ValidationErrorsSmall(t *testing.T) {
 	}
 }
 
-func TestPrepareSeq(t *testing.T) {
+// TestPrepareQ344: Prepare builds sequential suite circuits too.
+func TestPrepareQ344(t *testing.T) {
 	var buf bytes.Buffer
-	ctx := fastCtx(&buf)
-	pr, err := ctx.PrepareSeq("q344")
+	pr, err := fastCtx(&buf).Prepare("q344", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pr.Base.Circuit.Sequential() {
-		t.Error("PrepareSeq produced a combinational circuit")
+		t.Error("Prepare(q344) produced a combinational circuit")
 	}
 	if pr.DminPs <= 0 || pr.TmaxPs <= pr.DminPs {
 		t.Error("bad Dmin/Tmax")
-	}
-	if _, err := ctx.PrepareSeq("s432"); err == nil {
-		t.Error("combinational name accepted by PrepareSeq")
 	}
 }
 

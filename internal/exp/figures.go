@@ -89,8 +89,8 @@ func (ctx *Context) Figure2() (*report.Series, error) {
 	}
 	dsB := mcB.DelaySummary()
 	dsA := mcA.DelaySummary()
-	lo := minf(dsB.Min, dsA.Min) * 0.98
-	hi := maxf(dsB.Max, dsA.Max) * 1.02
+	lo := min(dsB.Min, dsA.Min) * 0.98
+	hi := max(dsB.Max, dsA.Max) * 1.02
 	histB, err := stats.NewHistogram(lo, hi, 24)
 	if err != nil {
 		return nil, err
@@ -222,18 +222,4 @@ func (ctx *Context) Figure5() (*report.Series, error) {
 		}
 	}
 	return s, nil
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/report"
 	"repro/internal/tech"
-	"repro/internal/variation"
 )
 
 // SequentialTable (S1) repeats the headline comparison on sequential
@@ -22,7 +20,7 @@ func (ctx *Context) SequentialTable() (*report.Table, error) {
 		"circuit", "gates", "FFs", "Tmin [ps]", "det q99 [nW]", "stat q99 [nW]", "q99 improve",
 		"stat yield(MC)", "HVT FFs")
 	for _, name := range bench.SeqSuiteNames() {
-		pr, err := ctx.PrepareSeq(name)
+		pr, err := ctx.Prepare(name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -58,41 +56,4 @@ func (ctx *Context) SequentialTable() (*report.Table, error) {
 	}
 	t.AddNote("Tmin = minimum clock period (worst FF-to-FF/PO path incl. setup) after greedy sizing")
 	return t, nil
-}
-
-// PrepareSeq builds the design for a sequential suite circuit.
-func (ctx *Context) PrepareSeq(name string) (*Prepared, error) {
-	p := tech.Default100nm()
-	lib, err := tech.NewLibrary(p)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := variation.New(variation.Default(p.LeffNom))
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := bench.SeqSuiteConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	c, err := bench.GenerateSeq(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.NewDesign(c, lib, vm)
-	if err != nil {
-		return nil, err
-	}
-	ref := d.Clone()
-	dmin, err := opt.MinimumDelay(ref)
-	if err != nil {
-		return nil, err
-	}
-	tf := ctx.TmaxFactor
-	if tf <= 1 {
-		tf = 1.3
-	}
-	pr := &Prepared{Name: name, Base: d, DminPs: dmin, TmaxPs: tf * dmin}
-	pr.Opt = opt.DefaultOptions(pr.TmaxPs)
-	return pr, nil
 }

@@ -84,10 +84,7 @@ func MinimizeDelayUnderLeakBudgetCtx(ctx context.Context, d *core.Design, o Opti
 	}
 	res.Feasible = true
 
-	maxMoves := o.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 10 * d.Circuit.NumGates()
-	}
+	maxMoves := o.moveCap(d)
 	blacklist := newMoveSet(d)
 	var q0, lq float64 // pre-move delay quantile / post-move leakage quantile
 	var path []int     // the round's statistical critical path

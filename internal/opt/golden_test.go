@@ -218,7 +218,7 @@ func computeGolden(t testing.TB, mutate func(*opt.Options)) *goldenFile {
 
 	// S1: the sequential pair (flip-flops join the move set).
 	for _, name := range []string{"q344"} {
-		pr, err := ctx.PrepareSeq(name)
+		pr, err := ctx.Prepare(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

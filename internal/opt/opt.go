@@ -63,7 +63,9 @@ type Options struct {
 	// headline experiments; the A1 ablation toggles them).
 	EnableVth    bool
 	EnableSizing bool
-	// MaxMoves caps the total number of applied moves (0 ⇒ 10×gates).
+	// MaxMoves caps the moves a run applies, counted across every
+	// phase and margin of the sweep (0 ⇒ 10×gates). Anneal ignores it:
+	// AnnealConfig.Moves bounds its walk instead.
 	MaxMoves int
 	// Scenario, when non-nil, runs the optimizer against the
 	// corner-indexed evaluation family over this spec instead of the
@@ -196,6 +198,14 @@ func newMoveSet(d *core.Design) moveSet { return make(moveSet, d.Circuit.NumNode
 
 func (s moveSet) add(m engine.Move)      { s[m.Gate()*numKinds+int(m.Kind())] = true }
 func (s moveSet) has(m engine.Move) bool { return s[m.Gate()*numKinds+int(m.Kind())] }
+
+// moveCap is a run's move budget: MaxMoves, or 10×gates when it is 0.
+func (o Options) moveCap(d *core.Design) int {
+	if o.MaxMoves > 0 {
+		return o.MaxMoves
+	}
+	return 10 * d.Circuit.NumGates()
+}
 
 // addTally folds a search run's account into a Result. Phases that
 // share one Result across several Run calls (the margin sweep) pass

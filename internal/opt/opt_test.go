@@ -53,6 +53,44 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestMaxMovesCapsTheRun: MaxMoves bounds the moves a whole run
+// applies — every margin's phase A and phase B together — in each flow
+// that honours it.
+func TestMaxMovesCapsTheRun(t *testing.T) {
+	for _, name := range []string{"s432", "s880"} {
+		d := suite(t, name)
+		dmin, err := opt.MinimumDelay(d.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := 2 * allHVTFloor(t, d)
+		for _, maxMoves := range []int{50, 150} {
+			o := opt.DefaultOptions(1.3 * dmin)
+			o.MaxMoves = maxMoves
+			sr, err := opt.Statistical(d.Clone(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr, err := opt.Deterministic(d.Clone(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ur, err := opt.MinimizeDelayUnderLeakBudget(d.Clone(), o, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				flow  string
+				moves int
+			}{{"statistical", sr.Moves}, {"deterministic", dr.Moves}, {"dual", ur.Moves}} {
+				if r.moves > maxMoves {
+					t.Errorf("%s %s: %d moves at MaxMoves %d", name, r.flow, r.moves, maxMoves)
+				}
+			}
+		}
+	}
+}
+
 func TestMinimumDelayImproves(t *testing.T) {
 	d := suite(t, "s432")
 	before := nominalDelay(t, d)

@@ -25,7 +25,7 @@ func polishScan(tb testing.TB) *statScan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := statPhaseA(context.Background(), e, o, o.TmaxPs*phaseAMargins[0], &StatResult{}); err != nil {
+	if _, err := upsize(context.Background(), e, sstaView(e, o), o.TmaxPs*phaseAMargins[0], o, &Result{}); err != nil {
 		tb.Fatal(err)
 	}
 	return newStatScan(e, o)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/montecarlo"
 	"repro/internal/search"
 	"repro/internal/ssta"
-	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/yield"
 )
@@ -33,15 +32,15 @@ type StatResult struct {
 	ISYield *yield.ISEstimate
 }
 
-// Statistical runs the paper's optimizer. Phase A upsizes
-// statistically critical gates until the SSTA timing yield at Tmax
-// reaches the target η. Phase B greedily applies the leakage-recovery
-// move with the best reduction of the objective leakage percentile per
-// unit of statistical timing metric consumed, batch-accepting against
-// per-gate statistical slacks and verifying each batch with the
-// incrementally maintained SSTA (peeling back just enough moves to
-// restore feasibility). One engine family carries the timing/leakage
-// caches across the whole margin sweep.
+// Statistical runs the paper's optimizer. Phase A (upsize, on the
+// SSTA view) upsizes statistically critical gates until the SSTA
+// timing yield at Tmax reaches the target η. Phase B greedily applies
+// the leakage-recovery move with the best reduction of the objective
+// leakage percentile per unit of statistical timing metric consumed,
+// batch-accepting against per-gate statistical slacks and verifying
+// each batch with the incrementally maintained SSTA (peeling back just
+// enough moves to restore feasibility). One engine family carries the
+// timing/leakage caches across the whole margin sweep.
 func Statistical(d *core.Design, o Options) (*StatResult, error) {
 	//lint:ignore ctxflow uncancellable compatibility wrapper; callers needing deadlines use StatisticalCtx
 	return StatisticalCtx(context.Background(), d, o)
@@ -69,9 +68,12 @@ func StatisticalCtx(ctx context.Context, d *core.Design, o Options) (*StatResult
 		margins = margins[:1]
 	}
 	sc := newStatScan(e, o)
+	view := sstaView(e, o)
 	for _, m := range margins {
-		if err := statPhaseA(ctx, e, o, o.TmaxPs*m, res); err != nil {
-			return nil, err
+		if o.EnableSizing {
+			if _, err := upsize(ctx, e, view, o.TmaxPs*m, o, &res.Result); err != nil {
+				return nil, err
+			}
 		}
 		q, err := e.DelayQuantile(o.YieldTarget)
 		if err != nil {
@@ -113,94 +115,6 @@ func keepAssignment(buf, d *core.Design) *core.Design {
 	return buf
 }
 
-// statPhaseA upsizes statistically critical gates until the
-// eta-quantile of circuit delay meets target (or no move helps), as a
-// first-accept search policy: propose the statistical-critical-path
-// gate with the best local upsize estimate, verify that the delay
-// quantile actually dropped.
-func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64, res *StatResult) error {
-	if !o.EnableSizing {
-		return nil
-	}
-	d := e.Design()
-	kappa := stats.NormalQuantile(o.YieldTarget)
-	maxMoves := o.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 10 * d.Circuit.NumGates()
-	}
-	base := res.Moves // accumulated across the margin sweep
-	blacklist := make(map[int]bool)
-	var q0 float64 // delay quantile before the round's move
-	var path []int // the round's statistical critical path
-	var round search.Round
-	iter := -1
-	tally, err := search.Run(ctx, e, search.Policy{
-		Optimizer: "statistical",
-		Propose: func(_ context.Context, t *search.Tally) (*search.Round, error) {
-			iter++
-			var err error
-			if q0, err = e.DelayQuantile(o.YieldTarget); err != nil {
-				return nil, err
-			}
-			if q0 <= target || base+t.Moves >= maxMoves {
-				return nil, nil
-			}
-			sr, err := e.Timing()
-			if err != nil {
-				return nil, err
-			}
-			d := e.Design()
-			path = statCriticalPath(d, sr, kappa, path[:0])
-			bestID := -1
-			bestEst := -slackEps
-			for _, id := range path {
-				g := d.Circuit.Gate(id)
-				if g.Type == logic.Input || blacklist[id] {
-					continue
-				}
-				si := d.SizeIndex(id)
-				if si+1 >= len(d.Lib.Sizes) {
-					continue
-				}
-				if est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], 0, 0); est < bestEst {
-					bestEst = est
-					bestID = id
-				}
-			}
-			if bestID < 0 {
-				return nil, nil
-			}
-			mv, ok := engine.NewUpsize(d, bestID)
-			round.Moves = round.Moves[:0]
-			if !ok {
-				// Spend the round; something else must change first.
-				blacklist[bestID] = true
-				return &round, nil
-			}
-			round.Moves = append(round.Moves, mv)
-			return &round, nil
-		},
-		Verify: func() (bool, error) {
-			q1, err := e.DelayQuantile(o.YieldTarget)
-			if err != nil {
-				return false, err
-			}
-			return q1 < q0-slackEps, nil
-		},
-		Rejected: func(mv engine.Move) { blacklist[mv.Gate()] = true },
-		Accepted: func(mv engine.Move, t *search.Tally) error {
-			o.report(Progress{Optimizer: "statistical", Phase: "sizing", Moves: base + t.Moves, Round: t.Rounds})
-			// Progress invalidates stale blacklist knowledge.
-			if len(blacklist) > 0 && iter%16 == 0 {
-				clear(blacklist)
-			}
-			return nil
-		},
-	})
-	addTally(&res.Result, tally)
-	return err
-}
-
 // statPhaseB drains yield-feasible leakage-recovery moves, batch-
 // accepting against per-gate statistical slacks and peeling a batch
 // back until the incremental SSTA verifies it. Timing is maintained
@@ -211,10 +125,7 @@ func statPhaseA(ctx context.Context, e *engine.Family, o Options, target float64
 // blocked.
 func statPhaseB(ctx context.Context, e *engine.Family, o Options, sc *statScan, res *StatResult) error {
 	d := e.Design()
-	maxMoves := o.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 10 * d.Circuit.NumGates()
-	}
+	maxMoves := o.moveCap(d)
 	clear(sc.blocked)
 	// Batch size: enough to amortize the slack refresh, small enough
 	// that per-gate slack bookkeeping stays honest.

@@ -19,7 +19,6 @@
 package verilog
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"sort"
@@ -28,23 +27,6 @@ import (
 
 	"repro/internal/logic"
 )
-
-// indexHeap is a min-heap of pending-slice indices, so dependency
-// resolution processes instances in file order whenever possible and
-// gate IDs stay stable for already-topologically-ordered netlists.
-type indexHeap []int
-
-func (h indexHeap) Len() int            { return len(h) }
-func (h indexHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h indexHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *indexHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *indexHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 // token kinds
 type tokKind uint8
@@ -163,14 +145,6 @@ func (p *parser) identList() ([]string, error) {
 	}
 }
 
-// instance is a parsed gate instantiation, resolved in a second pass.
-type instance struct {
-	prim  string
-	name  string
-	ports []string
-	line  int
-}
-
 // Parse reads one structural module and returns the circuit.
 func Parse(r io.Reader) (*logic.Circuit, error) {
 	raw, err := io.ReadAll(r)
@@ -209,7 +183,7 @@ func Parse(r io.Reader) (*logic.Circuit, error) {
 	}
 
 	var inputs, outputs []string
-	var insts []instance
+	var defs []logic.Def
 	for {
 		t := p.next()
 		if t.kind == tokEOF {
@@ -220,7 +194,11 @@ func Parse(r io.Reader) (*logic.Circuit, error) {
 		}
 		switch t.text {
 		case "endmodule":
-			return build(nameTok.text, inputs, outputs, insts)
+			c, err := logic.Build(nameTok.text, inputs, outputs, defs)
+			if err != nil {
+				return nil, fmt.Errorf("verilog: %w", err)
+			}
+			return c, nil
 		case "input":
 			names, err := p.identList()
 			if err != nil {
@@ -240,8 +218,7 @@ func Parse(r io.Reader) (*logic.Circuit, error) {
 		default:
 			// primitive instantiation: PRIM NAME ( out , in... ) ;
 			prim := t.text
-			nm, err := p.expectIdent()
-			if err != nil {
+			if _, err := p.expectIdent(); err != nil {
 				return nil, err
 			}
 			if err := p.expectPunct("("); err != nil {
@@ -266,7 +243,15 @@ func Parse(r io.Reader) (*logic.Circuit, error) {
 			if err := p.expectPunct(";"); err != nil {
 				return nil, err
 			}
-			insts = append(insts, instance{prim: prim, name: nm.text, ports: ports, line: t.line})
+			switch {
+			case strings.EqualFold(prim, "dff") && len(ports) != 2:
+				return nil, fmt.Errorf("verilog: line %d: dff takes (Q, D), got %d ports", t.line, len(ports))
+			case len(ports) < 2:
+				return nil, fmt.Errorf("verilog: line %d: %s needs an output and inputs", t.line, prim)
+			}
+			// A gate takes the name of its output net, not of the
+			// instance, so cross-format identity with .bench holds.
+			defs = append(defs, logic.Def{Name: ports[0], Fn: prim, Args: ports[1:], Line: t.line})
 		}
 	}
 }
@@ -274,126 +259,6 @@ func Parse(r io.Reader) (*logic.Circuit, error) {
 // ParseString parses Verilog text held in a string.
 func ParseString(src string) (*logic.Circuit, error) {
 	return Parse(strings.NewReader(src))
-}
-
-// build resolves instances into a circuit. Output nets take the name
-// of the net, not the instance, so cross-format identity with .bench
-// holds.
-func build(name string, inputs, outputs []string, insts []instance) (*logic.Circuit, error) {
-	c := logic.New(name)
-	for _, in := range inputs {
-		if _, err := c.AddInput(in); err != nil {
-			return nil, fmt.Errorf("verilog: %v", err)
-		}
-	}
-	// DFFs first (launch points; allows feedback), then the
-	// combinational instances by operand-availability fixpoint.
-	type dffConn struct {
-		id   int
-		d    string
-		line int
-	}
-	var dconns []dffConn
-	var pending []instance
-	for _, inst := range insts {
-		if strings.EqualFold(inst.prim, "dff") {
-			if len(inst.ports) != 2 {
-				return nil, fmt.Errorf("verilog: line %d: dff takes (Q, D), got %d ports", inst.line, len(inst.ports))
-			}
-			id, err := c.AddDff(inst.ports[0])
-			if err != nil {
-				return nil, fmt.Errorf("verilog: line %d: %v", inst.line, err)
-			}
-			dconns = append(dconns, dffConn{id: id, d: inst.ports[1], line: inst.line})
-			continue
-		}
-		pending = append(pending, inst)
-	}
-	// Kahn-style resolution (see bench.Parse): each pending instance
-	// counts its not-yet-defined input nets, and adding a gate wakes
-	// exactly the instances waiting on that net name. Linear in
-	// instances + ports where a retry-until-fixpoint sweep is quadratic
-	// on reverse-ordered netlists.
-	waiting := make(map[string][]int)
-	missing := make([]int, len(pending))
-	queue := &indexHeap{}
-	for i, inst := range pending {
-		if len(inst.ports) < 2 {
-			return nil, fmt.Errorf("verilog: line %d: %s needs an output and inputs", inst.line, inst.prim)
-		}
-		for _, a := range inst.ports[1:] {
-			if _, ok := c.GateByName(a); !ok {
-				waiting[a] = append(waiting[a], i)
-				missing[i]++
-			}
-		}
-		if missing[i] == 0 {
-			heap.Push(queue, i)
-		}
-	}
-	added := 0
-	done := make([]bool, len(pending))
-	for queue.Len() > 0 {
-		i := heap.Pop(queue).(int)
-		inst := pending[i]
-		ids := make([]int, 0, len(inst.ports)-1)
-		for _, a := range inst.ports[1:] {
-			g, ok := c.GateByName(a)
-			if !ok {
-				return nil, fmt.Errorf("verilog: line %d: net %q undefined", inst.line, a)
-			}
-			ids = append(ids, g.ID)
-		}
-		ty, err := logic.GateTypeForFunction(inst.prim, len(ids))
-		if err != nil {
-			return nil, fmt.Errorf("verilog: line %d: %v", inst.line, err)
-		}
-		if _, err := c.AddGate(inst.ports[0], ty, ids...); err != nil {
-			return nil, fmt.Errorf("verilog: line %d: %v", inst.line, err)
-		}
-		added++
-		done[i] = true
-		for _, w := range waiting[inst.ports[0]] {
-			missing[w]--
-			if missing[w] == 0 {
-				heap.Push(queue, w)
-			}
-		}
-		delete(waiting, inst.ports[0])
-	}
-	if added != len(pending) {
-		for i, inst := range pending {
-			if !done[i] {
-				return nil, fmt.Errorf("verilog: %d instances have undefined or cyclic operands (first: %q line %d)",
-					len(pending)-added, inst.name, inst.line)
-			}
-		}
-	}
-	for _, dc := range dconns {
-		g, ok := c.GateByName(dc.d)
-		if !ok {
-			return nil, fmt.Errorf("verilog: line %d: dff data net %q undefined", dc.line, dc.d)
-		}
-		if err := c.ConnectDff(dc.id, g.ID); err != nil {
-			return nil, fmt.Errorf("verilog: line %d: %v", dc.line, err)
-		}
-	}
-	for _, o := range outputs {
-		g, ok := c.GateByName(o)
-		if !ok {
-			return nil, fmt.Errorf("verilog: output %q names an undefined net", o)
-		}
-		if err := c.MarkOutput(g.ID); err != nil {
-			return nil, fmt.Errorf("verilog: %v", err)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.PlaceGrid(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // primOf maps a gate type to its Verilog primitive name.
