@@ -151,14 +151,15 @@ func TestDeterministicMeetsConstraintAndRecoversLeakage(t *testing.T) {
 	// constraint (classic dual-Vth leverage: most gates off the
 	// critical path go HVT).
 	sizedOnly := suite(t, "s432")
-	resSized, err := opt.Deterministic(sizedOnly, opt.Options{
-		TmaxPs: o.TmaxPs, CornerSigma: o.CornerSigma, YieldTarget: 0.99,
-		LeakPercentile: 0.99, EnableVth: false, EnableSizing: true, MaxMoves: 1, // effectively phase A only
-	})
+	oSized := o
+	oSized.EnableVth = false
+	resSized, err := opt.Deterministic(sizedOnly, oSized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = resSized
+	if !resSized.Feasible {
+		t.Fatalf("sized-only reference infeasible: %+v", resSized)
+	}
 	if d.TotalLeak() >= sizedOnly.TotalLeak() {
 		t.Errorf("optimized leakage %g not below sized-only %g", d.TotalLeak(), sizedOnly.TotalLeak())
 	}
