@@ -107,7 +107,7 @@ type ISVerifyConfig struct {
 type Progress struct {
 	Optimizer string  // "deterministic", "statistical", "anneal", "dual", "min-delay"
 	Phase     string  // optimizer-specific phase label, e.g. "sizing", "recovery"
-	Moves     int     // applied (and kept) moves so far
+	Moves     int     // applied (and kept) moves so far in the run, across every margin and phase
 	Round     int     // search rounds driven in the current phase
 	LeakQNW   float64 // current objective leakage [nW]: percentile for statistical flows, nominal for corner flows; 0 if not tracked
 	Yield     float64 // current timing yield at Tmax, 0 if not tracked
