@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet gofmt statleaklint unreferenced lint-sarif build test race scenario chaos isle bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet gofmt statleaklint unreferenced build test race scenario chaos isle bench bench-json experiments-output fuzz daemon
 
 ci: lint build test race scenario chaos isle fuzz
 
@@ -38,11 +38,6 @@ statleaklint:
 # the test). -count=1: the test reads sources go test cannot track.
 unreferenced:
 	$(GO) test -count=1 -run TestNoUnreferencedFuncs ./internal/analysis/statleaklint
-
-# lint-sarif emits the machine-readable report CI uploads (suppressed
-# findings included, marked inSource).
-lint-sarif:
-	$(GO) run ./cmd/statleaklint -sarif -out statleaklint.sarif ./... || true
 
 build:
 	$(GO) build ./...

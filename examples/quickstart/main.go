@@ -98,7 +98,7 @@ func main() {
 
 func pathNames(d *core.Design, r *sta.Result) []string {
 	var names []string
-	for _, id := range r.CriticalPath(d) {
+	for _, id := range r.CriticalPath(d, nil) {
 		names = append(names, d.Circuit.Gate(id).Name)
 	}
 	return names

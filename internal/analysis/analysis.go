@@ -23,41 +23,12 @@ import (
 	"strings"
 )
 
-// Severity ranks a diagnostic. Error findings gate the build (exit 1);
-// Warning and Info surface in reports and SARIF but are advisory.
-type Severity int
-
-const (
-	// SeverityError is the default: the finding violates a correctness
-	// invariant and must be fixed or suppressed with a reason.
-	SeverityError Severity = iota
-	// SeverityWarning marks a probable problem that may have a
-	// sanctioned exception.
-	SeverityWarning
-	// SeverityInfo is advisory.
-	SeverityInfo
-)
-
-func (s Severity) String() string {
-	switch s {
-	case SeverityWarning:
-		return "warning"
-	case SeverityInfo:
-		return "info"
-	default:
-		return "error"
-	}
-}
-
 // Analyzer describes one static check.
 type Analyzer struct {
 	// Name is the short command-line identifier of the check.
 	Name string
 	// Doc is the one-paragraph description shown by -list.
 	Doc string
-	// Severity is the default severity of the analyzer's diagnostics
-	// (zero value: SeverityError). A Diagnostic may override it.
-	Severity Severity
 	// Run executes the check on one package.
 	Run func(*Pass) error
 }
@@ -83,8 +54,6 @@ type Pass struct {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Severity overrides the analyzer default when non-nil.
-	Severity *Severity
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -103,49 +72,22 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // analyzer, ready for printing or comparison.
 type Finding struct {
 	Analyzer string
-	Severity Severity
 	Pos      token.Position
 	Message  string
-	// Suppressed marks a finding silenced by a //lint:ignore comment
-	// (see suppress.go). Suppressed findings never gate the build but
-	// stay visible to the JSON/SARIF reports.
-	Suppressed bool
-	// SuppressReason is the justification the suppressing comment
-	// carried (suppressed findings only).
-	SuppressReason string
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Result is one full suite run: the active findings (which gate the
-// build) and the findings silenced by in-source suppressions (which
-// only surface in reports).
-type Result struct {
-	Findings   []Finding
-	Suppressed []Finding
-}
-
 // RunAnalyzers applies every analyzer to every loaded package and
-// returns the active findings sorted by position then analyzer name —
-// a stable order regardless of analyzer registration or map
-// iteration. Suppressed findings are dropped; use RunAnalyzersDetail
-// to keep them.
+// returns the findings no //lint:ignore silences, sorted by position
+// then analyzer name — a stable order regardless of analyzer
+// registration or map iteration. Suppression problems (a //lint:ignore
+// without a reason, a malformed comment) are themselves findings, so a
+// reasonless ignore can never silently pass CI.
 func RunAnalyzers(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Finding, error) {
-	res, err := RunAnalyzersDetail(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// RunAnalyzersDetail is RunAnalyzers keeping the suppressed findings.
-// Suppression problems (a //lint:ignore without a reason, a malformed
-// comment) are themselves active findings, so a reasonless ignore can
-// never silently pass CI.
-func RunAnalyzersDetail(pkgs []*LoadedPackage, analyzers []*Analyzer) (*Result, error) {
-	res := &Result{}
+	var out []Finding
 	for _, lp := range pkgs {
 		var pkgFindings []Finding
 		graph := BuildCallGraph(lp)
@@ -158,13 +100,8 @@ func RunAnalyzersDetail(pkgs []*LoadedPackage, analyzers []*Analyzer) (*Result, 
 				TypesInfo: lp.Info,
 				Graph:     graph,
 				Report: func(d Diagnostic) {
-					sev := a.Severity
-					if d.Severity != nil {
-						sev = *d.Severity
-					}
 					pkgFindings = append(pkgFindings, Finding{
 						Analyzer: a.Name,
-						Severity: sev,
 						Pos:      lp.Fset.Position(d.Pos),
 						Message:  d.Message,
 					})
@@ -175,14 +112,11 @@ func RunAnalyzersDetail(pkgs []*LoadedPackage, analyzers []*Analyzer) (*Result, 
 			}
 		}
 		sups, problems := collectSuppressions(lp.Fset, lp.Files)
-		active, suppressed := applySuppressions(pkgFindings, sups)
-		res.Findings = append(res.Findings, active...)
-		res.Findings = append(res.Findings, problems...)
-		res.Suppressed = append(res.Suppressed, suppressed...)
+		out = append(out, applySuppressions(pkgFindings, sups)...)
+		out = append(out, problems...)
 	}
-	sortFindings(res.Findings)
-	sortFindings(res.Suppressed)
-	return res, nil
+	sortFindings(out)
+	return out, nil
 }
 
 func sortFindings(out []Finding) {

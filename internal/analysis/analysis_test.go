@@ -1,11 +1,15 @@
 package analysis_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -43,9 +47,39 @@ func TestLoad(t *testing.T) {
 	}
 }
 
-// TestRunAnalyzersOrder checks findings come back sorted by position.
+// problemMatcher is the pattern of the CI problem matcher that turns
+// statleaklint's report lines into annotations, with the group number
+// of each field.
+type problemMatcher struct {
+	Regexp                            string
+	File, Line, Column, Code, Message int
+}
+
+func readProblemMatcher(t *testing.T, root string) (*regexp.Regexp, problemMatcher) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(root, ".github", "statleaklint-problem-matcher.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		ProblemMatcher []struct{ Pattern []problemMatcher }
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.ProblemMatcher) != 1 || len(doc.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("want one matcher with one pattern, got %+v", doc)
+	}
+	pm := doc.ProblemMatcher[0].Pattern[0]
+	return regexp.MustCompile(pm.Regexp), pm
+}
+
+// TestRunAnalyzersOrder checks findings come back sorted by position,
+// and that each finding's report line parses under the CI problem
+// matcher with every field in its group.
 func TestRunAnalyzersOrder(t *testing.T) {
-	pkgs, err := analysis.Load(moduleRoot(t), "./internal/stats")
+	root := moduleRoot(t)
+	pkgs, err := analysis.Load(root, "./internal/stats")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -75,6 +109,28 @@ func TestRunAnalyzersOrder(t *testing.T) {
 		a, b := findings[i-1].Pos, findings[i].Pos
 		if a.Filename > b.Filename || (a.Filename == b.Filename && a.Line > b.Line) {
 			t.Errorf("findings out of order: %v before %v", a, b)
+		}
+	}
+	rx, pm := readProblemMatcher(t, root)
+	for _, f := range findings {
+		m := rx.FindStringSubmatch(f.String())
+		if m == nil {
+			t.Errorf("problem matcher does not match %q", f)
+			continue
+		}
+		for _, w := range []struct {
+			group int
+			want  string
+		}{
+			{pm.File, f.Pos.Filename},
+			{pm.Line, strconv.Itoa(f.Pos.Line)},
+			{pm.Column, strconv.Itoa(f.Pos.Column)},
+			{pm.Code, f.Analyzer},
+			{pm.Message, f.Message},
+		} {
+			if w.group <= 0 || w.group >= len(m) || m[w.group] != w.want {
+				t.Errorf("problem matcher on %q: group %d is not %q", f, w.group, w.want)
+			}
 		}
 	}
 }

@@ -138,7 +138,7 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 			}
 			sort.Strings(matches)
 			fset := token.NewFileSet()
-			imp := analysis.NewImporter(fset, exp, nil)
+			imp := analysis.NewImporter(fset, exp)
 			lp, err := analysis.CheckFiles(fset, fixture, matches, imp, "")
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)

@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -31,7 +33,7 @@ func checkSrc(t *testing.T, src string) *LoadedPackage {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, fwExports, nil)
+	imp := NewImporter(fset, fwExports)
 	lp, err := CheckFiles(fset, "p", []string{file}, imp, "")
 	if err != nil {
 		t.Fatalf("type-checking: %v", err)
@@ -188,31 +190,37 @@ func TestSuppressions(t *testing.T) {
 			return nil
 		},
 	}
-	res, err := RunAnalyzersDetail([]*LoadedPackage{lp}, []*Analyzer{calls})
+	findings, err := RunAnalyzers([]*LoadedPackage{lp}, []*Analyzer{calls})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Suppressed) != 1 {
-		t.Fatalf("want exactly the suppression in a() honored, got %d suppressed", len(res.Suppressed))
+	// a()'s ignore silences its call. c()'s ignore has no reason, so it
+	// silences nothing and is itself a finding; d()'s names another
+	// analyzer, so it silences nothing.
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%s:%d", f.Analyzer, f.Pos.Line))
 	}
-	if res.Suppressed[0].SuppressReason != "the call is sanctioned here for the test" {
-		t.Errorf("suppressed finding lost its reason: %q", res.Suppressed[0].SuppressReason)
+	want := []string{"testrule:11", "suppression:15", "testrule:16", "testrule:21"}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings %v, want %v", got, want)
 	}
-	// Active: the bare call in b(), the call in c() (its ignore is
-	// malformed so it must NOT suppress), the call in d() (analyzer
-	// mismatch), plus the reasonless-ignore problem finding from c().
-	var problems, active int
-	for _, f := range res.Findings {
-		if f.Analyzer == "suppression" {
-			problems++
-		} else {
-			active++
-		}
+
+	// The -suppressions listing: the two well-formed ignores with their
+	// parsed analyzers and reasons, and the reasonless one as a problem.
+	sups, problems := CollectSuppressions([]*LoadedPackage{lp})
+	if len(sups) != 2 || len(problems) != 1 {
+		t.Fatalf("got %d suppressions and %d problems, want 2 and 1", len(sups), len(problems))
 	}
-	if problems != 1 {
-		t.Errorf("want 1 enforced-reason problem finding, got %d", problems)
+	if s := sups[0]; s.Pos.Line != 6 || !slices.Equal(s.Analyzers, []string{"testrule"}) ||
+		s.Reason != "the call is sanctioned here for the test" {
+		t.Errorf("a()'s suppression parsed as %+v", s)
 	}
-	if active != 3 {
-		t.Errorf("want 3 active testrule findings (b, c, d), got %d: %v", active, res.Findings)
+	if s := sups[1]; s.Pos.Line != 20 || !slices.Equal(s.Analyzers, []string{"otherrule"}) ||
+		s.Reason != "reason that does not match testrule" {
+		t.Errorf("d()'s suppression parsed as %+v", s)
+	}
+	if p := problems[0]; p.Analyzer != "suppression" || p.Pos.Line != 15 {
+		t.Errorf("reasonless ignore reported as %v", p)
 	}
 }

@@ -103,13 +103,9 @@ func ExportMap(dir string, patterns ...string) (map[string]string, error) {
 }
 
 // NewImporter returns a types.Importer resolving import paths through
-// the given export-data file map, with an optional source-path →
-// canonical-path translation (the vet protocol's ImportMap).
-func NewImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
+// the given export-data file map.
+func NewImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		if canon, ok := importMap[path]; ok {
-			path = canon
-		}
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -206,7 +202,7 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, exports, nil)
+	imp := NewImporter(fset, exports)
 	out := make([]*LoadedPackage, 0, len(targets))
 	for _, lp := range targets {
 		if len(lp.GoFiles) == 0 {

@@ -3,6 +3,7 @@ package statleaklint_test
 import (
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -36,6 +37,24 @@ func TestLintRepoClean(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Errorf("%d finding(s): fix them or add //lint:ignore with a reason", len(findings))
+	}
+}
+
+// TestAnalyzerNamesFitProblemMatcher: CI's problem matcher
+// (.github/statleaklint-problem-matcher.json) reads a report line's
+// analyzer through the code group [a-z]+, so every analyzer name, and
+// the "suppression" pseudo-analyzer, must fit it for a finding to
+// become an annotation.
+func TestAnalyzerNamesFitProblemMatcher(t *testing.T) {
+	code := regexp.MustCompile(`^[a-z]+$`)
+	names := []string{"suppression"}
+	for _, a := range statleaklint.Analyzers() {
+		names = append(names, a.Name)
+	}
+	for _, name := range names {
+		if !code.MatchString(name) {
+			t.Errorf("analyzer name %q does not match the problem matcher's code group [a-z]+", name)
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package statleaklint registers the eight-analyzer suite that
 // mechanically enforces the evaluation engine's determinism,
 // move-discipline (the design changes only through Apply/Revert), and
-// concurrency-lifecycle invariants. cmd/statleaklint runs it standalone or as a
-// `go vet -vettool`; DESIGN.md §"Static analysis" documents each
-// invariant.
+// concurrency-lifecycle invariants. cmd/statleaklint runs it;
+// DESIGN.md §"Static analysis" documents each invariant.
 package statleaklint
 
 import (

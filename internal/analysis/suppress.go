@@ -7,15 +7,14 @@ package analysis
 //
 // placed on the offending line or on the line directly above it.
 // "all" matches every analyzer. The reason is mandatory: an ignore
-// without one is itself an error finding (analyzer "suppression"), so
+// without one is itself a finding (analyzer "suppression"), so
 // the only way to silence the suite is to write down why — the
-// enforced-reason rule the CI lint-smoke step asserts. Suppressed
-// findings stay visible to the JSON/SARIF reports (SARIF carries them
-// with an inSource suppression record) but never gate the build.
+// enforced-reason rule the CI suppressions audit asserts.
 
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -41,20 +40,15 @@ func (s Suppression) Matches(analyzer string) bool {
 }
 
 // collectSuppressions parses every //lint:ignore comment in files.
-// Malformed or reasonless comments come back as error findings so the
-// caller merges them into the active set.
+// Malformed or reasonless comments come back as findings, which the
+// caller reports with the analyzers' own.
 func collectSuppressions(fset *token.FileSet, files []*ast.File) ([]Suppression, []Finding) {
 	var (
 		sups     []Suppression
 		problems []Finding
 	)
 	problem := func(pos token.Position, msg string) {
-		problems = append(problems, Finding{
-			Analyzer: "suppression",
-			Severity: SeverityError,
-			Pos:      pos,
-			Message:  msg,
-		})
+		problems = append(problems, Finding{Analyzer: "suppression", Pos: pos, Message: msg})
 	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -85,36 +79,17 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) ([]Suppression,
 	return sups, problems
 }
 
-// applySuppressions splits findings into active and suppressed. A
+// applySuppressions returns the findings no suppression covers. A
 // suppression covers its own line (trailing comment) and the line
 // below it (comment above the offending statement).
-func applySuppressions(findings []Finding, sups []Suppression) (active, suppressed []Finding) {
-	if len(sups) == 0 {
-		return findings, nil
-	}
-	for _, f := range findings {
-		matched := false
-		for _, s := range sups {
-			if s.Pos.Filename != f.Pos.Filename {
-				continue
-			}
-			if f.Pos.Line != s.Pos.Line && f.Pos.Line != s.Pos.Line+1 {
-				continue
-			}
-			if !s.Matches(f.Analyzer) {
-				continue
-			}
-			f.Suppressed = true
-			f.SuppressReason = s.Reason
-			suppressed = append(suppressed, f)
-			matched = true
-			break
-		}
-		if !matched {
-			active = append(active, f)
-		}
-	}
-	return active, suppressed
+func applySuppressions(findings []Finding, sups []Suppression) []Finding {
+	return slices.DeleteFunc(findings, func(f Finding) bool {
+		return slices.ContainsFunc(sups, func(s Suppression) bool {
+			return s.Pos.Filename == f.Pos.Filename &&
+				(f.Pos.Line == s.Pos.Line || f.Pos.Line == s.Pos.Line+1) &&
+				s.Matches(f.Analyzer)
+		})
+	})
 }
 
 // CollectSuppressions returns every //lint:ignore comment in the

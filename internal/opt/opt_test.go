@@ -159,36 +159,49 @@ func TestDeterministicMeetsConstraintAndRecoversLeakage(t *testing.T) {
 	if d.CountHVT() == 0 {
 		t.Error("no HVT gates in result")
 	}
-	// Leakage must be far below the all-LVT sized design at the same
-	// constraint (classic dual-Vth leverage: most gates off the
-	// critical path go HVT).
+	// Leakage must be below the minimum-size all-LVT start plus one
+	// upsize, the design a sizing-only run capped at one move leaves
+	// (it misses Tmax): most gates off the critical path go HVT, which
+	// outweighs the upsizing the optimized design needed.
 	sizedOnly := suite(t, "s432")
 	resSized, err := opt.Deterministic(sizedOnly, opt.Options{
 		TmaxPs: o.TmaxPs, CornerSigma: o.CornerSigma, YieldTarget: 0.99,
-		LeakPercentile: 0.99, EnableVth: false, EnableSizing: true, MaxMoves: 1, // effectively phase A only
+		LeakPercentile: 0.99, EnableVth: false, EnableSizing: true, MaxMoves: 1, // one phase-A upsize
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = resSized
+	if resSized.Moves != 1 || resSized.VthSwaps != 0 || sizedOnly.CountHVT() != 0 {
+		t.Errorf("sized-only reference: %d moves, %d swaps, %d HVT gates; want 1, 0, 0",
+			resSized.Moves, resSized.VthSwaps, sizedOnly.CountHVT())
+	}
 	if d.TotalLeak() >= sizedOnly.TotalLeak() {
 		t.Errorf("optimized leakage %g not below sized-only %g", d.TotalLeak(), sizedOnly.TotalLeak())
 	}
 }
 
 func TestDeterministicRespectsMoveSetToggles(t *testing.T) {
-	dmin := func() float64 {
-		d := suite(t, "s499")
-		v, err := opt.MinimumDelay(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}()
-	// Vth-only: no size-downs may appear; sizing-only: no swaps.
-	_ = dmin
+	dmin, err := opt.MinimumDelay(suite(t, "s499"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sizing-only: no swaps, and the design stays all-LVT.
+	ds := suite(t, "s499")
+	o := opt.DefaultOptions(1.3 * dmin)
+	o.EnableVth = false
+	res, err := opt.Deterministic(ds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible {
+		t.Errorf("sizing-only run infeasible at 1.3·Dmin: %+v", res)
+	}
+	if res.VthSwaps != 0 || ds.CountHVT() != 0 {
+		t.Errorf("Vth moves applied with swaps disabled: %d swaps, %d HVT gates", res.VthSwaps, ds.CountHVT())
+	}
+	// Vth-only: no sizing moves.
 	dv := suite(t, "s499")
-	o := opt.DefaultOptions(1)
+	o = opt.DefaultOptions(1)
 	o.EnableSizing = false
 	// With sizing disabled entirely, the min-size start must already
 	// meet the corner constraint: set Tmax just above it.
@@ -197,7 +210,7 @@ func TestDeterministicRespectsMoveSetToggles(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.TmaxPs = cr.MaxDelay * 1.05
-	res, err := opt.Deterministic(dv, o)
+	res, err = opt.Deterministic(dv, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,12 @@ func cornerView(e *engine.Family, tmaxPs float64, optimizer string) sizingView {
 			}
 			return r.MaxDelay, nil
 		},
-		path: func([]int) ([]int, error) {
+		path: func(dst []int) ([]int, error) {
 			r, err := e.Corner(tmaxPs)
 			if err != nil {
 				return nil, err
 			}
-			return r.CriticalPath(e.Design()), nil
+			return r.CriticalPath(e.Design(), dst), nil
 		},
 		dL: dL, dV: dV,
 		leak: e.Design().TotalLeak,

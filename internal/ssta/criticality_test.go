@@ -54,7 +54,7 @@ func TestCriticalityHighOnNominalCriticalPath(t *testing.T) {
 	// the average gate.
 	sum, n := 0.0, 0
 	onPath := map[int]bool{}
-	for _, id := range sr.CriticalPath(d) {
+	for _, id := range sr.CriticalPath(d, nil) {
 		onPath[id] = true
 		sum += crit[id]
 		n++
@@ -110,7 +110,7 @@ func TestCriticalityMatchesMonteCarloPathTracing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range r.CriticalPath(d) {
+		for _, id := range r.CriticalPath(d, nil) {
 			counts[id]++
 		}
 		_ = order
@@ -153,7 +153,7 @@ func TestCriticalityDeterministicLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range sr.CriticalPath(d) {
+	for _, id := range sr.CriticalPath(d, nil) {
 		if d.Circuit.Gate(id).Type == logic.Input {
 			continue
 		}

@@ -63,7 +63,7 @@ func TestSequentialSlackZeroOnCriticalPath(t *testing.T) {
 	}
 	// The critical path starts at a launch point and ends at the worst
 	// endpoint.
-	path := r0.CriticalPath(d)
+	path := r0.CriticalPath(d, nil)
 	if len(path) < 2 {
 		t.Fatalf("critical path too short: %v", path)
 	}

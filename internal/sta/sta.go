@@ -173,14 +173,14 @@ func resize(s []float64, n int) []float64 {
 }
 
 // CriticalPath walks back from the worst endpoint along the
-// latest-arriving fanins, returning node IDs from a launch point (a
-// primary input or a flip-flop Q pin) to the worst endpoint (a PO or
-// the capturing flip-flop).
-func (r *Result) CriticalPath(d *core.Design) []int {
+// latest-arriving fanins. It writes the node IDs, from a launch point
+// (a primary input or a flip-flop Q pin) to the worst endpoint (a PO
+// or the capturing flip-flop), into dst[:0] and returns them.
+func (r *Result) CriticalPath(d *core.Design, dst []int) []int {
+	rev := dst[:0]
 	if r.WorstOutput < 0 {
-		return nil
+		return rev
 	}
-	var rev []int
 	id := r.WorstOutput
 	for first := true; ; first = false {
 		rev = append(rev, id)

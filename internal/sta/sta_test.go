@@ -90,7 +90,7 @@ func TestSlackSemantics(t *testing.T) {
 	}
 	// Slack must never exceed Tmax − longest-path-through-node, i.e.
 	// required >= arrival on critical path nodes exactly at 0.
-	for _, id := range r0.CriticalPath(d) {
+	for _, id := range r0.CriticalPath(d, nil) {
 		if math.Abs(r0.Slack[id]) > 1e-9 {
 			t.Fatalf("critical-path node %d has slack %g", id, r0.Slack[id])
 		}
@@ -103,7 +103,7 @@ func TestCriticalPathIsConnectedAndMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := analyze(t, d, 1e6)
-	path := r.CriticalPath(d)
+	path := r.CriticalPath(d, nil)
 	if len(path) < 2 {
 		t.Fatalf("critical path too short: %v", path)
 	}
@@ -128,6 +128,26 @@ func TestCriticalPathIsConnectedAndMonotone(t *testing.T) {
 		if r.Arrival[path[i]] <= r.Arrival[path[i-1]] {
 			t.Fatal("arrivals not increasing along critical path")
 		}
+	}
+}
+
+// TestCriticalPathReusesBuffer: a buffer with room for the path is
+// filled in place, with no allocation, and holds the same path as a
+// fresh one.
+func TestCriticalPathReusesBuffer(t *testing.T) {
+	d, err := fixture.Suite("s432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := analyze(t, d, 1e6)
+	want := r.CriticalPath(d, nil)
+	buf := make([]int, 0, len(want))
+	var got []int
+	if allocs := testing.AllocsPerRun(5, func() { got = r.CriticalPath(d, buf) }); allocs > 0 {
+		t.Errorf("CriticalPath into a buffer of capacity %d allocates %.0f times per call", cap(buf), allocs)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("path in buffer %v != fresh path %v", got, want)
 	}
 }
 
