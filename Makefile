@@ -70,10 +70,11 @@ chaos:
 # isle runs the importance-sampling suite under the race detector:
 # per-sample weight determinism across worker counts, the zero-shift
 # bitwise reduction to plain sampling, the plain-vs-IS agreement
-# property on ISCAS fixtures, the adaptive-budget loop, and the
-# seed-stream aliasing regression (see DESIGN.md §12).
+# property on ISCAS fixtures, the adaptive-budget loop, the
+# seed-stream aliasing regression, and the die pool's worker-count
+# independence and cancellation (see DESIGN.md §12).
 isle:
-	$(GO) test -race -run 'TestIS|TestZeroShift|TestSeedStream|TestTimingIS|TestAdaptiveTimingIS|TestStreamSeed|TestSplitMix' ./internal/montecarlo ./internal/yield ./internal/stats
+	$(GO) test -race -run 'TestIS|TestZeroShift|TestSeedStream|TestTimingIS|TestAdaptiveTimingIS|TestStreamSeed|TestSplitMix|TestPool' ./internal/montecarlo ./internal/yield ./internal/stats
 
 # bench runs every benchmark in the repository: the root evaluation
 # harness (bench_test.go / DESIGN.md §5) plus the package-level

@@ -166,12 +166,13 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	// Bind each gate's cell and variation loading row once per run, and
-	// re-seed one RNG per die (the stream of a fresh source, without
-	// its allocation), as montecarlo.RunCtx does.
+	// Bind each gate's cell and grid cell once per run, compute each
+	// grid cell's global ΔL excursion once per die, and re-seed one RNG
+	// per die (the stream of a fresh math/rand source, without its
+	// allocation or its serial seeding), as montecarlo.RunCtx does.
 	n := d.Circuit.NumNodes()
 	s := &die{dL: make([]float64, n), dV: make([]float64, n), cells: make([]tech.Cell, n)}
-	rows := make([][]float64, n)
+	grid := make([]int, n)
 	vm := d.Var
 	for _, g := range d.Circuit.Gates() {
 		if g.Type == logic.Input {
@@ -179,7 +180,7 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 		}
 		s.ids = append(s.ids, g.ID)
 		s.cells[g.ID] = d.Lib.Cell(g.Type, d.Vth[g.ID], d.Size[g.ID], d.Load(g.ID))
-		rows[g.ID] = vm.Loads(g.X, g.Y)
+		grid[g.ID] = vm.CellOf(g.X, g.Y)
 	}
 	if len(s.ids) == 0 {
 		return nil, fmt.Errorf("abb: circuit has no logic gates")
@@ -189,12 +190,14 @@ func Run(d *core.Design, cfg Config, tmax float64, samples int, seed int64) (*Re
 	delays := make([]float64, n)
 	scratch := make([]float64, n)
 	globals := make([]float64, vm.NumPC)
-	rng := rand.New(rand.NewSource(seed))
+	ex := make([]float64, vm.NumCells())
+	rng := rand.New(stats.NewSource(seed))
 	for k := 0; k < samples; k++ {
 		rng.Seed(stats.StreamSeed(seed, k))
 		vm.SampleGlobals(rng, globals)
+		vm.Excursions(globals, ex)
 		for _, id := range s.ids {
-			s.dL[id] = vm.DeltaL(rows[id], globals, rng.NormFloat64())
+			s.dL[id] = vm.DeltaL(ex[grid[id]], rng.NormFloat64())
 			s.dV[id] = vm.DeltaVth(rng.NormFloat64())
 		}
 		dr := &res.Dies[k]

@@ -10,11 +10,14 @@
 // seeded from wall-clock time. The analyzer forbids both in non-test
 // code: it reports the global stream, and entropy in the seed
 // arguments of the package-level source constructors and of the Seed
-// methods of math/rand and math/rand/v2 types. The approved idioms
-// are rand.New(rand.NewSource(seed)) with the seed threaded from a
-// Config value, and one worker-owned *rand.Rand re-seeded per sample
-// from the config seed, rng.Seed(stats.StreamSeed(cfg.Seed, i)),
-// which replays the stream of a fresh source without allocating one.
+// methods of math/rand and math/rand/v2 types and of stats.Source,
+// the repository's fast-seeding copy of math/rand's generator. The
+// approved idioms are rand.New(rand.NewSource(seed)) with the seed
+// threaded from a Config value, and the per-die idiom of the Monte
+// Carlo and ABB samplers: one worker-owned
+// rng := rand.New(stats.NewSource(cfg.Seed)) re-seeded per die with
+// rng.Seed(stats.StreamSeed(cfg.Seed, i)), which replays the stream
+// of a fresh math/rand source without allocating one.
 package seededrand
 
 import (
@@ -55,6 +58,13 @@ func isRandPath(path string) bool {
 	return path == "math/rand" || path == "math/rand/v2"
 }
 
+// seedsPath reports whether path's source constructors and Seed
+// methods take seeds: math/rand, math/rand/v2 and the package of
+// stats.Source.
+func seedsPath(path string) bool {
+	return isRandPath(path) || path == "repro/internal/stats"
+}
+
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
@@ -87,14 +97,14 @@ func run(pass *analysis.Pass) error {
 }
 
 // takesSeed reports whether fun, the callee of a call, seeds a
-// math/rand or math/rand/v2 generator: a source constructor
+// math/rand, math/rand/v2 or stats generator: a source constructor
 // (NewSource, NewPCG, NewZipf) or a Seed method, such as
-// (*rand.Rand).Seed or (*rand.PCG).Seed.
+// (*rand.Rand).Seed, (*rand.PCG).Seed or (*stats.Source).Seed.
 func takesSeed(pass *analysis.Pass, fun ast.Expr) bool {
 	if fn := pkgFunc(pass, fun); fn != nil {
 		switch fn.Name() {
 		case "NewSource", "NewPCG", "NewZipf":
-			return isRandPath(fn.Pkg().Path())
+			return seedsPath(fn.Pkg().Path())
 		}
 		return false
 	}
@@ -103,7 +113,7 @@ func takesSeed(pass *analysis.Pass, fun ast.Expr) bool {
 		return false
 	}
 	m, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	return ok && m.Pkg() != nil && m.Name() == "Seed" && isRandPath(m.Pkg().Path())
+	return ok && m.Pkg() != nil && m.Name() == "Seed" && seedsPath(m.Pkg().Path())
 }
 
 // pkgFunc resolves e to a package-level function (not a method); nil

@@ -7,6 +7,8 @@ import (
 	randv2 "math/rand/v2"
 	"os"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func globalStream() {
@@ -41,6 +43,13 @@ func reseededSource(src rand.Source) {
 
 func reseededPCG(pcg *randv2.PCG) {
 	pcg.Seed(uint64(time.Now().UnixNano()), 1) // want `RNG seed derived from time\.`
+}
+
+func perDieFromClock(cfg struct{ Seed int64 }) *rand.Rand {
+	rng := rand.New(stats.NewSource(time.Now().UnixNano())) // want `RNG seed derived from time\.`
+	src := stats.NewSource(cfg.Seed)
+	src.Seed(int64(os.Getpid())) // want `RNG seed derived from os\.`
+	return rng
 }
 
 // seeded is the approved idiom: the seed arrives from configuration.

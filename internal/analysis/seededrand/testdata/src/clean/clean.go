@@ -2,7 +2,11 @@
 // stay finding-free.
 package clean
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/stats"
+)
 
 type Config struct{ Seed int64 }
 
@@ -18,6 +22,19 @@ func perSample(cfg Config, s int) *rand.Rand {
 func reseeded(rng *rand.Rand, cfg Config, s int) float64 {
 	rng.Seed(cfg.Seed ^ int64(s)*7919)
 	return rng.NormFloat64()
+}
+
+// perDie re-seeds one worker-owned RNG over a stats.Source per die
+// from the config seed — the montecarlo/abb per-die pattern, which
+// replays math/rand's stream without its serial seeding.
+func perDie(cfg Config, dies int) float64 {
+	rng := rand.New(stats.NewSource(cfg.Seed))
+	sum := 0.0
+	for i := 0; i < dies; i++ {
+		rng.Seed(stats.StreamSeed(cfg.Seed, i))
+		sum += rng.NormFloat64()
+	}
+	return sum
 }
 
 // xored reseeds deterministically for a sub-stream — the

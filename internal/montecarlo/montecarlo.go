@@ -107,8 +107,8 @@ func (s Sampling) String() string {
 type Config struct {
 	Samples int
 	Seed    int64
-	// Workers bounds the worker pool draining the sample channel
-	// (0 ⇒ runtime.NumCPU()).
+	// Workers is the number of goroutines, the caller's included, that
+	// evaluate dies (0 ⇒ runtime.NumCPU()).
 	Workers  int
 	Sampling Sampling
 
@@ -372,15 +372,15 @@ func RunCtx(ctx context.Context, d *core.Design, cfg Config) (*Result, error) {
 		workers = cfg.Samples
 	}
 
-	// Bind every gate's cell and variation loading row once per run:
-	// the assignment and loads do not change during a run, so a die
+	// Bind every gate's cell and grid cell once per run: the
+	// assignment and loads do not change during a run, so a die
 	// evaluates only what its excursions change. gates lists the logic
 	// gates in ID order, the order their private draws are taken in.
 	n := d.Circuit.NumNodes()
 	type gateCtx struct {
 		id   int
 		cell tech.Cell
-		row  []float64 // variation loading vector (variation.Model.Loads)
+		grid int // grid cell (variation.Model.CellOf)
 	}
 	var gates []gateCtx
 	for _, g := range d.Circuit.Gates() {
@@ -390,7 +390,7 @@ func RunCtx(ctx context.Context, d *core.Design, cfg Config) (*Result, error) {
 		gates = append(gates, gateCtx{
 			id:   g.ID,
 			cell: d.Lib.Cell(g.Type, d.Vth[g.ID], d.Size[g.ID], d.Load(g.ID)),
-			row:  d.Var.Loads(g.X, g.Y),
+			grid: d.Var.CellOf(g.X, g.Y),
 		})
 	}
 
@@ -421,63 +421,66 @@ func RunCtx(ctx context.Context, d *core.Design, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Bounded fan-out: a fixed pool of workers pulls sample indices
-	// from a channel. Results stay deterministic for a given
-	// (Samples, Seed) regardless of worker count or scheduling, because
-	// every sample derives its whole RNG stream from its own index and
-	// writes only its own result slots. Each worker owns one RNG and
-	// re-seeds it per sample: Seed rebuilds exactly the state NewSource
-	// builds, so the stream is that of a fresh source without its
-	// allocation.
+	// The die pool: the calling goroutine and workers−1 more claim die
+	// indices from a shared counter until the dies run out or ctx is
+	// cancelled. Results stay deterministic for a given (Samples, Seed)
+	// regardless of worker count or scheduling, because every die
+	// derives its whole RNG stream from its own index and writes only
+	// its own result slots. Each worker owns one RNG and re-seeds it per
+	// die: stats.Source draws math/rand's stream, and its Seed rebuilds
+	// exactly the state rand.NewSource builds, so the stream is that of
+	// a fresh source without its allocation or its serial seeding.
 	t0 := time.Now()
+	var next atomic.Int64
 	var done atomic.Uint64
-	jobs := make(chan int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			delays := make([]float64, n) // inputs stay 0
-			scratch := make([]float64, n)
-			globals := make([]float64, d.Var.NumPC)
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			vm := d.Var
-			for s := range jobs {
-				if ctx.Err() != nil {
-					continue // drain the channel without evaluating
-				}
-				rng.Seed(stats.StreamSeed(cfg.Seed, s))
-				vm.SampleGlobals(rng, globals)
-				z := globals
-				if lhs != nil {
-					z = lhs[s]
-				}
-				if prop != nil {
-					res.Weights[s] = prop.perturb(z, rng)
-				}
-				leak := 0.0
-				for i := range gates {
-					g := &gates[i]
-					dL := vm.DeltaL(g.row, z, rng.NormFloat64())
-					dV := vm.DeltaVth(rng.NormFloat64())
-					delays[g.id] = g.cell.Delay(dL, dV)
-					leak += g.cell.Leak(dL, dV)
-				}
-				res.DelaysPs[s] = sta.MaxDelayWithDelays(d.Circuit, order, delays, scratch, d.Lib.P.DffSetupPs)
-				res.LeaksNW[s] = leak
-				done.Add(1)
+	work := func() {
+		delays := make([]float64, n) // inputs stay 0
+		scratch := make([]float64, n)
+		globals := make([]float64, d.Var.NumPC)
+		ex := make([]float64, d.Var.NumCells())
+		rng := rand.New(stats.NewSource(cfg.Seed))
+		vm := d.Var
+		evaluated := uint64(0)
+		defer func() { done.Add(evaluated) }()
+		for ctx.Err() == nil {
+			s := int(next.Add(1) - 1)
+			if s >= cfg.Samples {
+				return
 			}
-		}()
-	}
-feed:
-	for s := 0; s < cfg.Samples; s++ {
-		select {
-		case jobs <- s:
-		case <-ctx.Done():
-			break feed
+			rng.Seed(stats.StreamSeed(cfg.Seed, s))
+			vm.SampleGlobals(rng, globals)
+			z := globals
+			if lhs != nil {
+				z = lhs[s]
+			}
+			if prop != nil {
+				res.Weights[s] = prop.perturb(z, rng)
+			}
+			// A gate's ΔL is its grid cell's global excursion plus its
+			// private term: the excursion is computed once per cell.
+			vm.Excursions(z, ex)
+			leak := 0.0
+			for i := range gates {
+				g := &gates[i]
+				dL := vm.DeltaL(ex[g.grid], rng.NormFloat64())
+				dV := vm.DeltaVth(rng.NormFloat64())
+				delays[g.id] = g.cell.Delay(dL, dV)
+				leak += g.cell.Leak(dL, dV)
+			}
+			res.DelaysPs[s] = sta.MaxDelayWithDelays(d.Circuit, order, delays, scratch, d.Lib.P.DffSetupPs)
+			res.LeaksNW[s] = leak
+			evaluated++
 		}
 	}
-	close(jobs)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	metSamples.Add(done.Load())
 	if err := ctx.Err(); err != nil {

@@ -278,8 +278,9 @@ func byScoreDesc(a, b statCand) int {
 // needs across rounds, and across the margin sweep — the slack, score,
 // candidate and scored-move slices and the round it proposes — plus
 // one boxed move per gate and family, reused while the gate's From
-// state still matches, and the dense set of blocked moves, so a round
-// allocates nothing once the buffers have grown.
+// state still matches, and the dense set of blocked moves. A gate
+// offers at most two moves, so the candidate-sized buffers are made
+// once at twice the gate count and a round allocates nothing.
 type statScan struct {
 	e       *engine.Family
 	o       Options
@@ -297,8 +298,13 @@ type statScan struct {
 func newStatScan(e *engine.Family, o Options) *statScan {
 	d := e.Design()
 	n := d.Circuit.NumNodes()
+	m := 2 * d.Circuit.NumGates() // a swap and a downsize per gate
 	return &statScan{e: e, o: o, blocked: newMoveSet(d),
-		swaps: make([]engine.Move, n), downs: make([]engine.Move, n)}
+		scores: make([]float64, 0, m),
+		cands:  make([]statCand, 0, m),
+		moves:  make([]engine.Move, 0, m),
+		round:  search.Round{Moves: make([]engine.Move, 0, m)},
+		swaps:  make([]engine.Move, n), downs: make([]engine.Move, n)}
 }
 
 // candidates refreshes the statistical slack and scores every feasible

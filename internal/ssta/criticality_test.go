@@ -95,14 +95,16 @@ func TestCriticalityMatchesMonteCarloPathTracing(t *testing.T) {
 	delays := make([]float64, d.Circuit.NumNodes())
 	vm := d.Var
 	z := make([]float64, vm.NumPC)
+	ex := make([]float64, vm.NumCells())
 	for s := 0; s < samples; s++ {
 		rng := rand.New(rand.NewSource(int64(s)*7919 + 3))
 		vm.SampleGlobals(rng, z)
+		vm.Excursions(z, ex)
 		for _, g := range d.Circuit.Gates() {
 			if g.Type == logic.Input {
 				continue
 			}
-			dL := vm.DeltaL(vm.Loads(g.X, g.Y), z, rng.NormFloat64())
+			dL := vm.DeltaL(ex[vm.CellOf(g.X, g.Y)], rng.NormFloat64())
 			dV := vm.DeltaVth(rng.NormFloat64())
 			delays[g.ID] = d.GateDelayWith(g.ID, dL, dV)
 		}

@@ -256,11 +256,25 @@ func (m *Model) SampleGlobals(rng *rand.Rand, z []float64) {
 	}
 }
 
-// DeltaL returns the ΔLeff [nm] of a gate with loading vector a (its
-// Loads row) on the die with globals z, given the gate's private
-// standard-normal draw r.
-func (m *Model) DeltaL(a, z []float64, r float64) float64 {
-	return linalg.Dot(a, z) + m.sigmaIndNm*r
+// NumCells returns the number of grid cells, GridDim².
+func (m *Model) NumCells() int { return len(m.loads) }
+
+// Excursions writes into e, which must have length NumCells, the
+// global ΔLeff excursion a·z [nm] of every grid cell on the die with
+// globals z, a the cell's loading row. Every gate of a cell shares
+// its cell's excursion, so a sampler computes it once per cell and
+// die rather than once per gate.
+func (m *Model) Excursions(z, e []float64) {
+	for c, a := range m.loads {
+		e[c] = linalg.Dot(a, z)
+	}
+}
+
+// DeltaL returns the ΔLeff [nm] of a gate whose grid cell has global
+// excursion e on the die (Excursions, indexed by CellOf), given the
+// gate's private standard-normal draw r.
+func (m *Model) DeltaL(e, r float64) float64 {
+	return e + m.sigmaIndNm*r
 }
 
 // DeltaVth returns the independent ΔVth [V] for the gate's private

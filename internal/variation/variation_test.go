@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/stats"
 )
 
@@ -95,9 +96,11 @@ func TestMonteCarloMatchesAnalyticMoments(t *testing.T) {
 	x, y := 0.4, 0.6
 	samples := make([]float64, n)
 	z := make([]float64, m.NumPC)
+	e := make([]float64, m.NumCells())
 	for i := range samples {
 		m.SampleGlobals(rng, z)
-		samples[i] = m.DeltaL(m.Loads(x, y), z, rng.NormFloat64())
+		m.Excursions(z, e)
+		samples[i] = m.DeltaL(e[m.CellOf(x, y)], rng.NormFloat64())
 	}
 	gotVar := stats.Variance(samples)
 	wantVar := m.TotalVarAt(x, y)
@@ -120,11 +123,13 @@ func TestMonteCarloPairCorrelation(t *testing.T) {
 	b := make([]float64, n)
 	c := make([]float64, n)
 	z := make([]float64, m.NumPC)
+	e := make([]float64, m.NumCells())
 	for i := 0; i < n; i++ {
 		m.SampleGlobals(rng, z)
-		a[i] = m.DeltaL(m.Loads(x1, y1), z, rng.NormFloat64())
-		b[i] = m.DeltaL(m.Loads(x2, y2), z, rng.NormFloat64())
-		c[i] = m.DeltaL(m.Loads(x3, y3), z, rng.NormFloat64())
+		m.Excursions(z, e)
+		a[i] = m.DeltaL(e[m.CellOf(x1, y1)], rng.NormFloat64())
+		b[i] = m.DeltaL(e[m.CellOf(x2, y2)], rng.NormFloat64())
+		c[i] = m.DeltaL(e[m.CellOf(x3, y3)], rng.NormFloat64())
 	}
 	gotNear := stats.Correlation(a, b)
 	wantNear := m.Correlation(x1, y1, x2, y2)
@@ -193,6 +198,27 @@ func TestPCAKeepsDimensionLow(t *testing.T) {
 	}
 }
 
+// TestExcursionsMatchLoads: a cell's excursion is bitwise the dot
+// product of the loading row of any position in the cell with the
+// globals, the term DeltaL added per gate before excursions were
+// computed per cell.
+func TestExcursionsMatchLoads(t *testing.T) {
+	m := defModel(t)
+	rng := rand.New(rand.NewSource(5))
+	z := make([]float64, m.NumPC)
+	e := make([]float64, m.NumCells())
+	for range 20 {
+		m.SampleGlobals(rng, z)
+		m.Excursions(z, e)
+		for range 50 {
+			x, y := rng.Float64(), rng.Float64()
+			if got, want := e[m.CellOf(x, y)], linalg.Dot(m.Loads(x, y), z); got != want {
+				t.Fatalf("excursion at (%g, %g) = %v, want %v", x, y, got, want)
+			}
+		}
+	}
+}
+
 func TestZeroVariationDegenerate(t *testing.T) {
 	cfg := Default(60)
 	cfg.SigmaLNm = 0
@@ -203,8 +229,10 @@ func TestZeroVariationDegenerate(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	z := make([]float64, m.NumPC)
+	e := make([]float64, m.NumCells())
 	m.SampleGlobals(rng, z)
-	if dl := m.DeltaL(m.Loads(0.5, 0.5), z, rng.NormFloat64()); dl != 0 {
+	m.Excursions(z, e)
+	if dl := m.DeltaL(e[m.CellOf(0.5, 0.5)], rng.NormFloat64()); dl != 0 {
 		t.Errorf("zero-variation ΔL = %g", dl)
 	}
 }
